@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-check bench-baseline bench-drift model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race vet lint perfbench-test bench bench-check bench-baseline bench-drift model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+
+# The perfbench harness is a nested module over the public API that
+# `go test ./...` from the root never compiles: vet and test it on its own
+# so an API change cannot silently break the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Runs every benchmark once. BenchmarkConcurrentJobs sweeps shard counts
 # {1, 2, GOMAXPROCS} and writes the perf-trajectory record BENCH_jobs.json,
@@ -114,4 +120,4 @@ server-smoke:
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
 
-ci: lint race bench-check model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
+ci: lint race perfbench-test bench-check model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

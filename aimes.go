@@ -66,11 +66,11 @@
 // Each shard runs on an execution backend — the narrow seam between the
 // environment's orchestration (placement, admission, stealing, waiting) and
 // the shard's engine stack. BackendLocal (the default) runs shards
-// in-process; BackendWorker (WithWorkers) runs each shard as a child OS
-// process speaking a framed JSON protocol over stdio, so a multi-tenant
-// workload scales past one process's heap and GC. The same seeded, pinned
-// workload produces identical reports on both backends; see WithWorkers for
-// the caveats.
+// in-process; BackendWorker (WithWorkerPool) runs each shard in a worker
+// process — a spawned child over stdio or an `aimes-worker serve` host over
+// TCP — so a multi-tenant workload scales past one process's heap and GC.
+// The same seeded, pinned workload produces identical reports on both
+// backends; see WithBackend for the caveats.
 //
 // See examples/ for complete programs and EXPERIMENTS.md for the paper
 // reproduction.
@@ -218,28 +218,16 @@ type (
 // for the paper's XSEDE and NERSC machines.
 var DefaultTestbed = site.DefaultTestbed
 
-// EnvConfig configures a simulated execution environment.
-//
-// Deprecated: use NewEnv with functional options (WithSeed, WithSites,
-// WithPilotConfig). EnvConfig remains as a convenience for existing callers.
-type EnvConfig struct {
-	// Seed drives all randomness; runs with equal seeds are identical.
-	Seed int64
-	// Sites overrides DefaultTestbed when non-nil.
-	Sites []SiteConfig
-	// Pilot overrides the default middleware configuration when non-nil.
-	Pilot *PilotConfig
-}
-
 // Environment is a ready-to-use multi-tenant execution environment,
 // partitioned into one or more parallel simulation shards. Each shard runs
 // on an execution backend — a complete, independent stack (engine, resource
 // testbed, SAGA session, bundle, execution manager) behind the narrow
-// Backend seam, either in-process (BackendLocal, the default) or as a child
-// OS process (BackendWorker, see WithWorkers) — so jobs placed on different
+// Backend seam, either in-process (BackendLocal, the default) or in a worker
+// process (BackendWorker, see WithBackend) — so jobs placed on different
 // shards execute truly in parallel with no shared engine lock. Submit
-// places jobs onto shards (JobConfig.Placement), and every job's trace tees
-// through its shard's recorder into one aggregate trace. Submit/Wait/Cancel
+// places jobs onto shards (JobConfig.Placement), and every job's trace lands
+// in its shard's recorder, merged on demand into one aggregate trace
+// (Recorder). Submit/Wait/Cancel
 // are safe for concurrent use from multiple goroutines; the blocking Run*
 // methods are shims over them.
 type Environment struct {
@@ -328,9 +316,12 @@ type shardEnv struct {
 	restarts atomic.Int32
 
 	// rec is the shard's frontend trace: every record of this shard's jobs,
-	// entity-qualified by namespace, fed by the backend sink. Its observer
-	// buffers into pendingAgg and fans out to live subscriptions.
-	rec *trace.Recorder
+	// entity-qualified by namespace, fed by the backend sink. aggNext is the
+	// index of the first record Environment.Recorder has not yet merged into
+	// the aggregate. Both are guarded by the shard's engine serialization, so
+	// the simulation hot path takes no cross-shard lock.
+	rec     *trace.Recorder
+	aggNext int
 
 	mu sync.Mutex
 
@@ -377,12 +368,6 @@ type shardEnv struct {
 	// it), so they need no atomics.
 	lastDoneEvents int64
 	lastDoneJobs   int64
-
-	// pendingAgg buffers this shard's trace records for the environment
-	// aggregate. Appends run under the shard's engine serialization, so the
-	// simulation hot path takes no cross-shard lock; Environment.Recorder
-	// drains the buffer under sync.
-	pendingAgg []trace.Record
 }
 
 // sync runs fn serialized with the shard backend's callbacks: under the
@@ -399,16 +384,21 @@ func (sh *shardEnv) sync(fn func()) {
 }
 
 // JobTrace implements backend.Sink: it routes one raw trace record of a job
-// to the job's event stream and, entity-qualified, into the shard trace
-// (which buffers for the environment aggregate and live subscriptions). It
-// runs under the shard's engine serialization.
+// to the job's event stream and, entity-qualified, into the shard trace and
+// every live subscription. It runs under the shard's engine serialization.
 func (sh *shardEnv) JobTrace(key int, ns string, rec trace.Record) {
 	j := sh.jobs[key]
 	if j == nil {
 		return
 	}
 	j.publish(rec)
-	sh.rec.Record(rec.Time, trace.QualifyEntity(rec.Entity, ns), rec.State, rec.Detail)
+	rec.Entity = trace.QualifyEntity(rec.Entity, ns)
+	sh.rec.Record(rec.Time, rec.Entity, rec.State, rec.Detail)
+	if subs := sh.env.subs.Load(); subs != nil {
+		for _, s := range *subs {
+			s.push(rec)
+		}
+	}
 }
 
 // JobDone implements backend.Sink: the backend finished a job (completed,
@@ -424,21 +414,18 @@ func (sh *shardEnv) JobDone(key int, report *core.Report) {
 type Option func(*envOptions)
 
 type envOptions struct {
-	seed         int64
-	sites        []SiteConfig
-	pilot        *PilotConfig
-	realTime     bool
-	eventBuf     int
-	shards       int
-	shardsSet    bool
-	steal        bool
-	kind         BackendKind
-	workerCmd    []string
-	workerAddr   string
-	workerSecret string
-	wireCodec    string
-	maxFrame     int
-	pool         *WorkerPool
+	seed      int64
+	sites     []SiteConfig
+	pilot     *PilotConfig
+	realTime  bool
+	eventBuf  int
+	shards    int
+	shardsSet bool
+	steal     bool
+	kind      BackendKind
+	wireCodec string
+	maxFrame  int
+	pool      WorkerPool
 }
 
 // WithSeed sets the seed driving all randomness; environments with equal
@@ -460,7 +447,7 @@ func WithPilotConfig(cfg PilotConfig) Option {
 // WithRealTime runs the environment on the wall-clock engine: batch queues,
 // staging links and agents fire on real timers, and jobs complete without
 // anyone pumping. Intended for small, fast testbeds (see examples/realtime).
-// Mutually exclusive with the worker backend (WithWorkers), whose protocol
+// Mutually exclusive with the worker backend (BackendWorker), whose protocol
 // is virtual-time by construction.
 func WithRealTime() Option { return func(o *envOptions) { o.realTime = true } }
 
@@ -528,25 +515,20 @@ const (
 	// BackendLocal runs every shard in-process — the default, bit-identical
 	// to the environments of releases before the backend seam existed.
 	BackendLocal BackendKind = "local"
-	// BackendWorker runs every shard as a child OS process (one per shard)
-	// speaking a length-prefixed JSON protocol over stdio. See WithWorkers.
+	// BackendWorker runs every shard in a worker process, one per shard —
+	// a spawned child over stdio or a TCP worker host — speaking the framed
+	// worker protocol. See WithBackend and WithWorkerPool.
 	BackendWorker BackendKind = "worker"
 )
 
 // WithBackend selects the execution backend shards run on. BackendLocal
-// needs no configuration. BackendWorker spawns one child process per shard;
-// see WithWorkers (which implies it) for command resolution and caveats.
-func WithBackend(kind BackendKind) Option {
-	return func(o *envOptions) { o.kind = kind }
-}
-
-// WithWorkers partitions the environment into n shards, each running as a
-// child OS process — WithBackend(BackendWorker) plus WithShards(n). Worker
-// shards put each simulation on its own heap and GC, and are the stepping
-// stone to multi-host execution: everything that crosses the process
-// boundary is a serializable descriptor, trace record, or report.
+// needs no configuration. BackendWorker runs every shard in a worker
+// process — each simulation on its own heap and GC, and everything that
+// crosses the process boundary a serializable descriptor, trace record, or
+// report. Without WithWorkerPool (which implies BackendWorker) it spawns one
+// child process per shard; combine with WithShards to size the environment.
 //
-// The worker command resolves, in order: WithWorkerCommand, the
+// The child worker command resolves, in order: WorkerPool.Command, the
 // $AIMES_WORKER environment variable, an "aimes-worker" binary on $PATH
 // (see cmd/aimes-worker), and finally the current executable itself when
 // the program called WorkerMain at the top of main (tests and examples
@@ -562,46 +544,11 @@ func WithBackend(kind BackendKind) Option {
 // static local mirror of the testbed rather than the workers' live wait
 // histories (Derive and staged-execution feedback do cross the wire).
 //
-// Mutually exclusive with WithRealTime. A crashed worker fails its own
-// shard's jobs with a descriptive error; other shards keep running.
-func WithWorkers(n int) Option {
-	return func(o *envOptions) {
-		o.kind = BackendWorker
-		o.shards = n
-		o.shardsSet = true
-	}
-}
-
-// WithWorkerCommand sets the command spawned for each worker shard. The
-// command must speak the worker protocol on stdin/stdout: cmd/aimes-worker
-// does, and so does any binary that calls WorkerMain first thing in main.
-func WithWorkerCommand(path string, args ...string) Option {
-	return func(o *envOptions) { o.workerCmd = append([]string{path}, args...) }
-}
-
-// WithWorkerAddr runs worker shards against a TCP worker host instead of
-// spawning child processes: every shard dials addr — an `aimes-worker serve
-// --listen` host, possibly on another machine — and runs its own
-// authenticated connection there. Implies WithBackend(BackendWorker);
-// combine with WithShards to size the environment.
-//
-// The connection authenticates with a shared secret (WithWorkerSecret or
-// $AIMES_WORKER_SECRET; NewEnv fails without one) but is NOT encrypted —
-// no TLS yet — so keep it on trusted networks. See the README's wire
-// protocol section.
-func WithWorkerAddr(addr string) Option {
-	return func(o *envOptions) {
-		o.workerAddr = addr
-		o.kind = BackendWorker
-	}
-}
-
-// WithWorkerSecret sets the shared secret for the TCP worker handshake,
-// overriding $AIMES_WORKER_SECRET. It has no effect on process workers
-// (stdio pipes need no authentication). With WithWorkerPool it is the
-// fallback when WorkerPool.Secret is empty.
-func WithWorkerSecret(secret string) Option {
-	return func(o *envOptions) { o.workerSecret = secret }
+// The worker backend is mutually exclusive with WithRealTime. A crashed
+// worker fails its own shard's jobs with a descriptive error; other shards
+// keep running (WorkerPool.MaxRestarts enables live respawn instead).
+func WithBackend(kind BackendKind) Option {
+	return func(o *envOptions) { o.kind = kind }
 }
 
 // WorkerEndpoint is one place a fleet can host worker shards: a TCP worker
@@ -618,12 +565,11 @@ type WorkerEndpoint struct {
 	Command []string
 }
 
-// WorkerPool is the consolidated worker-fleet configuration — the one
-// place to express what WithWorkers, WithWorkerCommand, WithWorkerAddr and
-// WithWorkerSecret used to spread over four options, plus what they could
-// not express at all: several endpoints (N hosts × M shards), mixed TCP and
-// process endpoints in one environment, and a fleet lifecycle (liveness
-// probes, live respawn within a restart budget, cordon/drain).
+// WorkerPool is the worker-fleet configuration: where shards run — one or
+// several endpoints (N hosts × M shards), TCP and process endpoints mixed in
+// one environment — the worker command and handshake secret, and the fleet
+// lifecycle (liveness probes, live respawn within a restart budget,
+// cordon/drain).
 //
 // Shard k starts on endpoint k mod len(Endpoints); when a worker dies and
 // MaxRestarts allows, it is respawned with the same shard seed — on its
@@ -632,21 +578,19 @@ type WorkerEndpoint struct {
 // WithWorkerPool.
 type WorkerPool struct {
 	// Endpoints lists where shards run. Empty means one process-mode
-	// endpoint (spawn children from Command or the resolution chain) — the
-	// exact shape the legacy options configured.
+	// endpoint (spawn children from Command or the resolution chain).
 	Endpoints []WorkerEndpoint
 	// Secret is the shared TCP handshake secret, required when any
-	// endpoint has an Addr (falls back to WithWorkerSecret,
-	// $AIMES_WORKER_SECRET, then $AIMES_WORKER_SECRET_FILE).
+	// endpoint has an Addr (falls back to $AIMES_WORKER_SECRET, then
+	// $AIMES_WORKER_SECRET_FILE). TCP connections authenticate with it but
+	// are NOT encrypted — no TLS yet — so keep them on trusted networks.
 	Secret string
 	// Command is the default worker command for process-mode endpoints
 	// (per-endpoint Command wins; nil falls back to $AIMES_WORKER, an
 	// aimes-worker on $PATH, then WorkerMain self-exec).
 	Command []string
-	// MaxRestarts bounds live respawns per shard. 0 — the default, and
-	// what the legacy single-endpoint options configure — disables respawn:
-	// a dead worker terminally fails its shard's jobs, exactly the
-	// pre-fleet contract.
+	// MaxRestarts bounds live respawns per shard. 0 — the default —
+	// disables respawn: a dead worker terminally fails its shard's jobs.
 	MaxRestarts int
 	// HealthInterval is the per-worker liveness-probe period (a ping
 	// opcode over the session). 0 disables probing; worker death still
@@ -671,16 +615,10 @@ type WorkerPool struct {
 //			HealthInterval: 5 * time.Second,
 //		}))
 //
-// The legacy options remain as shims over a single-endpoint pool with
-// MaxRestarts 0: WithWorkerCommand(cmd) ≡ WorkerPool{Command: cmd},
-// WithWorkerAddr(a) + WithWorkerSecret(s) ≡ WorkerPool{Endpoints:
-// []WorkerEndpoint{{Addr: a}}, Secret: s}. Mixing WithWorkerPool with
-// WithWorkerAddr or WithWorkerCommand is rejected as ambiguous;
-// WithWorkerSecret composes (it is the Secret fallback).
+// See WithBackend for command resolution and the determinism caveats.
 func WithWorkerPool(p WorkerPool) Option {
 	return func(o *envOptions) {
-		cp := p
-		o.pool = &cp
+		o.pool = p
 		o.kind = BackendWorker
 	}
 }
@@ -833,17 +771,6 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 	}
 	sh.lastWindow.Store(admitWindow)
 	sh.peakWindow.Store(admitWindow)
-	// Buffer the shard's qualified records for the environment aggregate and
-	// fan them out to live subscriptions. Runs under the shard's own
-	// serialization, so concurrent shards never contend here.
-	sh.rec.Observe(func(r trace.Record) {
-		sh.pendingAgg = append(sh.pendingAgg, r)
-		if subs := e.subs.Load(); subs != nil {
-			for _, s := range *subs {
-				s.push(r)
-			}
-		}
-	})
 	cfg := backend.Config{
 		Shard:    k,
 		Seed:     shard.Seed(o.seed, k),
@@ -886,24 +813,15 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 	return sh, nil
 }
 
-// buildPoolConfig turns the worker options — WithWorkerPool, or the legacy
-// single-endpoint options acting as shims over it — into the fleet
-// configuration the backend pool dials from. The legacy options configure
-// exactly one endpoint with MaxRestarts 0, preserving the pre-fleet crash
-// contract (a dead worker terminally fails its shard's jobs).
+// buildPoolConfig turns the worker options — WithWorkerPool, or the zero
+// pool that WithBackend(BackendWorker) alone implies (one process-mode
+// endpoint, MaxRestarts 0) — into the fleet configuration the backend pool
+// dials from.
 func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 	cfg := backend.PoolConfig{
 		Options: backend.WorkerOptions{Codec: o.wireCodec, MaxFrame: o.maxFrame},
 	}
 	p := o.pool
-	if p == nil {
-		p = &WorkerPool{Command: o.workerCmd}
-		if o.workerAddr != "" {
-			p.Endpoints = []WorkerEndpoint{{Addr: o.workerAddr}}
-		}
-	} else if o.workerAddr != "" || o.workerCmd != nil {
-		return cfg, fmt.Errorf("aimes: WithWorkerPool combined with WithWorkerAddr/WithWorkerCommand is ambiguous: put every endpoint and command in the pool")
-	}
 	cfg.MaxRestarts, cfg.HealthInterval = p.MaxRestarts, p.HealthInterval
 	if cfg.MaxRestarts < 0 {
 		return cfg, fmt.Errorf("aimes: WorkerPool.MaxRestarts %d is negative", p.MaxRestarts)
@@ -914,9 +832,6 @@ func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 		eps = []WorkerEndpoint{{Command: p.Command}}
 	}
 	secret := p.Secret
-	if secret == "" {
-		secret = o.workerSecret
-	}
 	needsSecret := false
 	for _, ep := range eps {
 		if ep.Addr != "" {
@@ -937,7 +852,7 @@ func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 			}
 		}
 		if secret == "" {
-			return cfg, fmt.Errorf("aimes: a TCP worker endpoint needs a shared secret: set WorkerPool.Secret, pass WithWorkerSecret, set $AIMES_WORKER_SECRET, or point $AIMES_WORKER_SECRET_FILE at a file holding the value the worker host serves with")
+			return cfg, fmt.Errorf("aimes: a TCP worker endpoint needs a shared secret: set WorkerPool.Secret, set $AIMES_WORKER_SECRET, or point $AIMES_WORKER_SECRET_FILE at a file holding the value the worker host serves with")
 		}
 	}
 
@@ -968,9 +883,10 @@ func buildPoolConfig(o *envOptions) (backend.PoolConfig, error) {
 	return cfg, nil
 }
 
-// resolveWorkerCommand finds the worker executable when WithWorkerCommand
-// was not given: $AIMES_WORKER, then aimes-worker on $PATH, then — if this
-// program registered itself via WorkerMain — the current executable.
+// resolveWorkerCommand finds the worker executable when neither the pool
+// nor the endpoint sets a Command: $AIMES_WORKER, then aimes-worker on
+// $PATH, then — if this program registered itself via WorkerMain — the
+// current executable.
 func resolveWorkerCommand() ([]string, error) {
 	if cmd := os.Getenv("AIMES_WORKER"); cmd != "" {
 		return []string{cmd}, nil
@@ -985,7 +901,7 @@ func resolveWorkerCommand() ([]string, error) {
 		}
 		return []string{self}, nil
 	}
-	return nil, fmt.Errorf("aimes: no worker command: pass WithWorkerCommand, set $AIMES_WORKER, install aimes-worker on $PATH (go build ./cmd/aimes-worker), or call aimes.WorkerMain at the top of main to self-host workers")
+	return nil, fmt.Errorf("aimes: no worker command: set WorkerPool.Command, set $AIMES_WORKER, install aimes-worker on $PATH (go build ./cmd/aimes-worker), or call aimes.WorkerMain at the top of main to self-host workers")
 }
 
 // nopSink discards backend events; the query mirror never enacts, so it
@@ -1007,7 +923,8 @@ var workerMainArmed atomic.Bool
 //
 //	func main() {
 //		aimes.WorkerMain()
-//		env, _ := aimes.NewEnv(aimes.WithWorkers(4))
+//		env, _ := aimes.NewEnv(aimes.WithShards(4),
+//			aimes.WithBackend(aimes.BackendWorker))
 //		...
 //	}
 //
@@ -1015,20 +932,6 @@ var workerMainArmed atomic.Bool
 func WorkerMain() {
 	workerMainArmed.Store(true)
 	backend.ServeIfWorker()
-}
-
-// NewSimulatedEnvironment builds a deterministic simulated environment.
-//
-// Deprecated: use NewEnv(WithSeed(...), ...).
-func NewSimulatedEnvironment(cfg EnvConfig) (*Environment, error) {
-	opts := []Option{WithSeed(cfg.Seed)}
-	if cfg.Sites != nil {
-		opts = append(opts, WithSites(cfg.Sites...))
-	}
-	if cfg.Pilot != nil {
-		opts = append(opts, WithPilotConfig(*cfg.Pilot))
-	}
-	return NewEnv(opts...)
 }
 
 // Shards reports the number of parallel simulation shards.
@@ -1220,26 +1123,6 @@ func (e *Environment) DrainEndpoint(name string) error {
 	return e.pool.Drain(name)
 }
 
-// KillWorker severs shard k's worker connection immediately — the chaos
-// hook for exercising the fleet's failure paths. What happens next depends
-// on the environment's restart budget (WorkerPool.MaxRestarts):
-//
-//   - With restarts remaining, the kill triggers a live respawn, not a
-//     terminal shard failure: a replacement worker is dialed with the same
-//     shard seed, the shard's queued (never-enacted, descriptor-only) jobs
-//     are replayed onto it in order, and only the jobs that were already
-//     enacted fail — their pilots and events live in the dead worker's
-//     engine and cannot be reconstructed. That enacted-jobs-still-fail
-//     contract holds on every respawn.
-//   - With the budget spent (or MaxRestarts 0, which every legacy
-//     single-endpoint option configures), the shard fails terminally: all
-//     its jobs — queued and enacted — fail with a descriptive error, and
-//     other shards keep running. This is the pre-fleet containment
-//     behavior.
-//
-// A killed child process trips the transport watcher at once; a killed TCP
-// connection surfaces on the shard's next wire operation or liveness
-// probe. KillWorker errors on local shards and out-of-range indices.
 // ChaosEvent is one scheduled fault injection against a shard's simulation
 // stack — see the backend package for the action vocabulary (site outages,
 // queue surges, pilot preemption, WAN degradation, kill-worker).
@@ -1267,6 +1150,24 @@ func (e *Environment) InjectChaos(k int, ev ChaosEvent) error {
 	return err
 }
 
+// KillWorker severs shard k's worker connection immediately — the chaos
+// hook for exercising the fleet's failure paths. What happens next depends
+// on the environment's restart budget (WorkerPool.MaxRestarts):
+//
+//   - With restarts remaining, the kill triggers a live respawn, not a
+//     terminal shard failure: a replacement worker is dialed with the same
+//     shard seed, the shard's queued (never-enacted, descriptor-only) jobs
+//     are replayed onto it in order, and only the jobs that were already
+//     enacted fail — their pilots and events live in the dead worker's
+//     engine and cannot be reconstructed. That enacted-jobs-still-fail
+//     contract holds on every respawn.
+//   - With the budget spent (or MaxRestarts 0, the default), the shard
+//     fails terminally: all its jobs — queued and enacted — fail with a
+//     descriptive error, and other shards keep running.
+//
+// A killed child process trips the transport watcher at once; a killed TCP
+// connection surfaces on the shard's next wire operation or liveness
+// probe. KillWorker errors on local shards and out-of-range indices.
 func (e *Environment) KillWorker(k int) error {
 	if k < 0 || k >= len(e.shards) {
 		return fmt.Errorf("aimes: shard %d out of range [0,%d)", k, len(e.shards))
@@ -1324,8 +1225,8 @@ func (e *Environment) shardDied(sh *shardEnv, cause error) {
 		}
 		if err != nil {
 			// Terminal: no replacement worker, so the queued jobs fail with
-			// the original crash cause — the contained failure the legacy
-			// single-endpoint options (MaxRestarts 0) always produce.
+			// the original crash cause — the contained failure MaxRestarts 0
+			// always produces.
 			for _, j := range jobs {
 				if j.sh.Load() != sh || JobState(j.state.Load()) != JobQueued {
 					continue
@@ -1547,11 +1448,11 @@ func (e *Environment) ShardBundle(k int) *Bundle {
 }
 
 // Recorder exposes the aggregate execution trace: every job's pilot, unit
-// and strategy transitions, teed from the per-shard recorders. Each call
-// drains the shards' buffered records into the aggregate with an ordered
-// merge by per-shard virtual time — within a shard records keep their
-// engine order, and across shards the drained batch interleaves by
-// timestamp (ties resolve by shard index), so a single drain after a run
+// and strategy transitions, drawn from the per-shard recorders. Each call
+// merges the records the shards appended since the previous call into the
+// aggregate, ordered by per-shard virtual time — within a shard records
+// keep their engine order, and across shards the drained batch interleaves
+// by timestamp (ties resolve by shard index), so a single drain after a run
 // reads as one coherent timeline even though shards keep independent
 // virtual clocks. The ordering holds per drain: a later drain's records
 // append after an earlier drain's regardless of timestamps, so either
@@ -1564,8 +1465,8 @@ func (e *Environment) Recorder() *Recorder {
 	var pending []trace.Record
 	for _, sh := range e.shards {
 		sh.sync(func() {
-			pending = append(pending, sh.pendingAgg...)
-			sh.pendingAgg = nil
+			pending = append(pending, sh.rec.Records()[sh.aggNext:]...)
+			sh.aggNext = sh.rec.Len()
 		})
 	}
 	// Merge by record time: concatenated in shard order, one stable sort

@@ -10,7 +10,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 42})
+	env, err := aimes.NewEnv(aimes.WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestEnvironmentDeterminism(t *testing.T) {
 	run := func() *aimes.Report {
-		env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 7})
+		env, err := aimes.NewEnv(aimes.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestEnvironmentDeterminism(t *testing.T) {
 }
 
 func TestDeriveThenRun(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 3})
+	env, err := aimes.NewEnv(aimes.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeriveThenRun(t *testing.T) {
 }
 
 func TestBundleQueriesThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 1})
+	env, err := aimes.NewEnv(aimes.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBundleQueriesThroughFacade(t *testing.T) {
 }
 
 func TestTraceThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 9})
+	env, err := aimes.NewEnv(aimes.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTraceThroughFacade(t *testing.T) {
 
 func TestCustomSites(t *testing.T) {
 	sites := aimes.DefaultTestbed()[:2]
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 5, Sites: sites})
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithSites(sites...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCustomSites(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 5})
+	env, err := aimes.NewEnv(aimes.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestMultistageAppThroughFacade(t *testing.T) {
 				OutputBytes: aimes.ConstantSpec(1 << 10), Inputs: aimes.MapOneToOne},
 		},
 	}
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 11})
+	env, err := aimes.NewEnv(aimes.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMultistageAppThroughFacade(t *testing.T) {
 }
 
 func TestMonitorThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 13})
+	env, err := aimes.NewEnv(aimes.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}

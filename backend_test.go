@@ -113,6 +113,14 @@ func tcpWorkerHost(t *testing.T) (addr, secret string) {
 	return ln.Addr().String(), secret
 }
 
+// tcpWorkers runs every shard against the single TCP worker host at addr.
+func tcpWorkers(addr, secret string) aimes.Option {
+	return aimes.WithWorkerPool(aimes.WorkerPool{
+		Endpoints: []aimes.WorkerEndpoint{{Addr: addr}},
+		Secret:    secret,
+	})
+}
+
 // TestBackendParity is the acceptance matrix for the backend seam: the same
 // seeded, pinned workload mix must produce identical per-job reports —
 // strategies, TTC decompositions, pilot waits, allocation accounting — on
@@ -128,12 +136,10 @@ func TestBackendParity(t *testing.T) {
 		name string
 		opts []aimes.Option
 	}{
-		{"stdio/json", []aimes.Option{aimes.WithWorkers(3), aimes.WithWireCodec(aimes.CodecJSON)}},
-		{"stdio/binary", []aimes.Option{aimes.WithWorkers(3), aimes.WithWireCodec(aimes.CodecBinary)}},
-		{"tcp/json", []aimes.Option{aimes.WithShards(3), aimes.WithWorkerAddr(addr),
-			aimes.WithWorkerSecret(secret), aimes.WithWireCodec(aimes.CodecJSON)}},
-		{"tcp/binary", []aimes.Option{aimes.WithShards(3), aimes.WithWorkerAddr(addr),
-			aimes.WithWorkerSecret(secret), aimes.WithWireCodec(aimes.CodecBinary)}},
+		{"stdio/json", []aimes.Option{aimes.WithShards(3), aimes.WithBackend(aimes.BackendWorker), aimes.WithWireCodec(aimes.CodecJSON)}},
+		{"stdio/binary", []aimes.Option{aimes.WithShards(3), aimes.WithBackend(aimes.BackendWorker), aimes.WithWireCodec(aimes.CodecBinary)}},
+		{"tcp/json", []aimes.Option{aimes.WithShards(3), tcpWorkers(addr, secret), aimes.WithWireCodec(aimes.CodecJSON)}},
+		{"tcp/binary", []aimes.Option{aimes.WithShards(3), tcpWorkers(addr, secret), aimes.WithWireCodec(aimes.CodecBinary)}},
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
@@ -170,7 +176,7 @@ func TestWireCodecValidation(t *testing.T) {
 	}
 	// Secretless TCP config must fail fast and say what to set.
 	t.Setenv("AIMES_WORKER_SECRET", "")
-	if _, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWorkerAddr("127.0.0.1:1")); err == nil {
+	if _, err := aimes.NewEnv(aimes.WithShards(1), tcpWorkers("127.0.0.1:1", "")); err == nil {
 		t.Fatal("TCP worker config without a secret accepted")
 	} else if !strings.Contains(err.Error(), "AIMES_WORKER_SECRET") {
 		t.Fatalf("secretless error not actionable: %v", err)
@@ -185,8 +191,7 @@ func TestTCPWorkerCrashFailsOnlyItsShard(t *testing.T) {
 		t.Skip("runs a TCP worker host")
 	}
 	addr, secret := tcpWorkerHost(t)
-	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithShards(2),
-		aimes.WithWorkerAddr(addr), aimes.WithWorkerSecret(secret))
+	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithShards(2), tcpWorkers(addr, secret))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestWorkerCrashFailsOnlyItsShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithWorkers(2))
+	env, err := aimes.NewEnv(aimes.WithSeed(99), aimes.WithShards(2), aimes.WithBackend(aimes.BackendWorker))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,13 +294,13 @@ func TestWorkerCrashFailsOnlyItsShard(t *testing.T) {
 // is rejected, unknown backends are rejected, and a worker environment
 // still validates workloads without crossing the seam.
 func TestWorkerBackendValidation(t *testing.T) {
-	if _, err := aimes.NewEnv(aimes.WithWorkers(2), aimes.WithRealTime()); err == nil {
-		t.Fatal("WithWorkers + WithRealTime was not rejected")
+	if _, err := aimes.NewEnv(aimes.WithShards(2), aimes.WithBackend(aimes.BackendWorker), aimes.WithRealTime()); err == nil {
+		t.Fatal("worker backend + WithRealTime was not rejected")
 	}
 	if _, err := aimes.NewEnv(aimes.WithBackend("fancy")); err == nil {
 		t.Fatal("unknown backend was not rejected")
 	}
-	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithWorkers(1))
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(1), aimes.WithBackend(aimes.BackendWorker))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +344,7 @@ func TestWorkerBackendWithStealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	env, err := aimes.NewEnv(aimes.WithSeed(515), aimes.WithWorkers(2), aimes.WithWorkStealing())
+	env, err := aimes.NewEnv(aimes.WithSeed(515), aimes.WithShards(2), aimes.WithBackend(aimes.BackendWorker), aimes.WithWorkStealing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,4 +630,76 @@ func TestAggregateMergeAndSubscribe(t *testing.T) {
 		t.Fatalf("subscription saw %d records (+%d dropped), aggregate has %d", received, sub.Dropped(), len(records))
 	}
 	sub.Close() // idempotent
+}
+
+// TestRecorderConcurrentDrain drains the aggregate trace from another
+// goroutine while pinned jobs run on two shards, then once more after they
+// finish: the aggregate must hold every shard record exactly once — no
+// record lost between drains, none merged twice.
+func TestRecorderConcurrentDrain(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(707), aimes.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 2}
+	var jobs []*aimes.Job
+	for k := 0; k < 2; k++ {
+		for i := 0; i < 4; i++ {
+			w, err := aimes.GenerateWorkload(aimes.BagOfTasks(64, aimes.UniformDuration()), int64(10*k+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := env.Submit(context.Background(), w, aimes.JobConfig{
+				StrategyConfig: cfg, Placement: aimes.PlacePinned, Shard: k,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	stop := make(chan struct{})
+	started := make(chan struct{})
+	drains := make(chan int)
+	go func() {
+		n := 0
+		for {
+			env.Recorder()
+			if n++; n == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				drains <- n
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	waitAllDeadline(t, jobs, 60*time.Second)
+	close(stop)
+	t.Logf("%d drains while jobs ran", <-drains)
+
+	rec := env.Recorder()
+	want := make(map[aimes.TraceRecord]int)
+	total := 0
+	for k := 0; k < env.Shards(); k++ {
+		sr := env.ShardRecorder(k)
+		total += sr.Len()
+		for _, r := range sr.Records() {
+			want[r]++
+		}
+	}
+	if rec.Len() != total {
+		t.Fatalf("aggregate holds %d records, shards %d", rec.Len(), total)
+	}
+	for _, r := range rec.Records() {
+		want[r]--
+	}
+	for r, n := range want {
+		if n != 0 {
+			t.Fatalf("record %+v: aggregate count off by %d", r, -n)
+		}
+	}
 }

@@ -571,13 +571,13 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 	var workersPoint, workersJSONPoint *sweepPoint
 	b.Run(fmt.Sprintf("workers=%d/codec=binary", nWorkers), func(b *testing.B) {
 		p := measure(b, nWorkers, func(i int) (*aimes.Environment, error) {
-			return aimes.NewEnv(aimes.WithSeed(int64(8484+i)), aimes.WithWorkers(nWorkers))
+			return aimes.NewEnv(aimes.WithSeed(int64(8484+i)), aimes.WithShards(nWorkers), aimes.WithBackend(aimes.BackendWorker))
 		}, aimes.JobConfig{StrategyConfig: cfg})
 		workersPoint = &p
 	})
 	b.Run(fmt.Sprintf("workers=%d/codec=json", nWorkers), func(b *testing.B) {
 		p := measure(b, nWorkers, func(i int) (*aimes.Environment, error) {
-			return aimes.NewEnv(aimes.WithSeed(int64(8484+i)), aimes.WithWorkers(nWorkers),
+			return aimes.NewEnv(aimes.WithSeed(int64(8484+i)), aimes.WithShards(nWorkers), aimes.WithBackend(aimes.BackendWorker),
 				aimes.WithWireCodec(aimes.CodecJSON))
 		}, aimes.JobConfig{StrategyConfig: cfg})
 		workersJSONPoint = &p

@@ -121,7 +121,7 @@ func TestCloseVsSubmitWaitWorker(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	before := workerChildren(t)
-	closeRaceScenario(t, aimes.WithWorkers(2))
+	closeRaceScenario(t, aimes.WithShards(2), aimes.WithBackend(aimes.BackendWorker))
 	// Close must reap both children. The watcher kills on a short fuse
 	// after an orderly close, so poll briefly.
 	deadline := time.Now().Add(15 * time.Second)

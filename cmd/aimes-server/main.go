@@ -129,15 +129,12 @@ func main() {
 			HealthInterval: *healthInterval,
 		}))
 	case *workers > 0:
-		opts = append(opts, aimes.WithWorkers(*workers))
-		if *maxRestarts > 0 || *healthInterval > 0 {
-			// Self-hosted process workers get the fleet lifecycle too: an
-			// empty endpoint list means one process-mode endpoint.
-			opts = append(opts, aimes.WithWorkerPool(aimes.WorkerPool{
-				MaxRestarts:    *maxRestarts,
-				HealthInterval: *healthInterval,
-			}))
-		}
+		// Self-hosted process workers get the fleet lifecycle too: an
+		// empty endpoint list means one process-mode endpoint.
+		opts = append(opts, aimes.WithShards(*workers), aimes.WithWorkerPool(aimes.WorkerPool{
+			MaxRestarts:    *maxRestarts,
+			HealthInterval: *healthInterval,
+		}))
 	}
 
 	env, err := aimes.NewEnv(opts...)

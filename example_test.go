@@ -11,7 +11,7 @@ import (
 // the paper's best strategy (late binding, backfill, three pilots) on the
 // simulated five-resource testbed.
 func Example() {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 42})
+	env, err := aimes.NewEnv(aimes.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func Example() {
 // ExampleEnvironment_Derive shows strategy derivation without enactment —
 // the five decisions of the paper's Table I made explicit.
 func ExampleEnvironment_Derive() {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 7})
+	env, err := aimes.NewEnv(aimes.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func ExampleEnvironment_Derive() {
 // ExampleBundle_Match exercises the discovery interface's requirement
 // language over the default testbed.
 func ExampleBundle_Match() {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 1})
+	env, err := aimes.NewEnv(aimes.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,8 @@ func main() {
 	aimes.WorkerMain()
 
 	const workers = 2
-	env, err := aimes.NewEnv(aimes.WithSeed(404), aimes.WithWorkers(workers))
+	env, err := aimes.NewEnv(aimes.WithSeed(404), aimes.WithShards(workers),
+		aimes.WithBackend(aimes.BackendWorker))
 	if err != nil {
 		log.Fatal(err)
 	}

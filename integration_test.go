@@ -36,7 +36,7 @@ output = constant 4096
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 21})
+	env, err := aimes.NewEnv(aimes.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFailureInjectionThroughFacade(t *testing.T) {
 		UnitFailureProb:       0.3,
 		DefaultMaxRestarts:    5,
 	}
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 33, Pilot: &pcfg})
+	env, err := aimes.NewEnv(aimes.WithSeed(33), aimes.WithPilotConfig(pcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFailureInjectionThroughFacade(t *testing.T) {
 
 // TestTraceExportFormats exercises the introspection exporters end to end.
 func TestTraceExportFormats(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 44})
+	env, err := aimes.NewEnv(aimes.WithSeed(44))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTraceExportFormats(t *testing.T) {
 func TestStrategyComparisonInvariants(t *testing.T) {
 	for seed := int64(50); seed < 54; seed++ {
 		run := func(cfg aimes.StrategyConfig) *aimes.Report {
-			env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: seed})
+			env, err := aimes.NewEnv(aimes.WithSeed(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestStrategyComparisonInvariants(t *testing.T) {
 
 // TestRunAdaptiveThroughFacade exercises the runtime-adaptation API.
 func TestRunAdaptiveThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 60})
+	env, err := aimes.NewEnv(aimes.WithSeed(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRunAdaptiveThroughFacade(t *testing.T) {
 // TestChoosePilotCountThroughFacade exercises the heuristic via primed
 // bundle history.
 func TestChoosePilotCountThroughFacade(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 61})
+	env, err := aimes.NewEnv(aimes.WithSeed(61))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestChoosePilotCountThroughFacade(t *testing.T) {
 // TestSequentialRunsShareEnvironment verifies an environment survives
 // multiple workload executions with a consistent clock and trace.
 func TestSequentialRunsShareEnvironment(t *testing.T) {
-	env, err := aimes.NewSimulatedEnvironment(aimes.EnvConfig{Seed: 70})
+	env, err := aimes.NewEnv(aimes.WithSeed(70))
 	if err != nil {
 		t.Fatal(err)
 	}

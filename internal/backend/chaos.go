@@ -2,7 +2,8 @@ package backend
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -94,15 +95,14 @@ func (l *Local) chaosRecord(action, target, detail string) {
 	if target != "" {
 		msg = target + ": " + detail
 	}
-	keys := make([]int, 0, len(l.recs))
-	for k := range l.recs {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		l.recs[k].Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
+	for _, k := range l.liveKeys() {
+		l.execs[k].Recorder().Record(l.eng.Now(), "chaos", strings.ToUpper(action), msg)
 	}
 }
+
+// liveKeys returns the live jobs' keys in ascending order, so chaos touches
+// jobs deterministically (map iteration is not).
+func (l *Local) liveKeys() []int { return slices.Sorted(maps.Keys(l.execs)) }
 
 // applyChaos fires one scheduled event against the live stack.
 func (l *Local) applyChaos(ev ChaosEvent) {
@@ -152,12 +152,7 @@ func (l *Local) applyChaos(ev ChaosEvent) {
 // preemptPilot tries the preemption against every live execution in key
 // order until one owns a preemptible pilot on the target resource.
 func (l *Local) preemptPilot(target, reason string) bool {
-	keys := make([]int, 0, len(l.execs))
-	for k := range l.execs {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
+	for _, k := range l.liveKeys() {
 		if l.execs[k].PreemptPilot(target, reason) {
 			return true
 		}

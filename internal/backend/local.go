@@ -37,13 +37,12 @@ type Local struct {
 	rng      *rand.Rand
 	sink     Sink
 
-	jobSeq int
-	execs  map[int]*core.Execution
-	// recs keeps each live job's recorder so injected chaos (chaos.go) can
-	// log applied faults into the job traces; surgeSeq numbers emergent
-	// surge jobs; sever, when set by a worker serve loop, cuts the hosting
-	// transport for the kill-worker action.
-	recs     map[int]*trace.Recorder
+	// execs holds every live job's execution, keyed by descriptor key; its
+	// recorder is where injected chaos (chaos.go) logs applied faults.
+	// surgeSeq numbers emergent surge jobs; sever, when set by a worker
+	// serve loop, cuts the hosting transport for the kill-worker action.
+	jobSeq   int
+	execs    map[int]*core.Execution
 	surgeSeq int
 	sever    func()
 }
@@ -91,7 +90,6 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 		rng:   rng,
 		sink:  sink,
 		execs: make(map[int]*core.Execution),
-		recs:  make(map[int]*trace.Recorder),
 	}
 	if st, ok := eng.(sim.Stepper); ok {
 		l.stepper = st
@@ -158,10 +156,8 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 	}
 	l.jobSeq++
 	l.execs[key] = exec
-	l.recs[key] = rec
 	exec.OnComplete(func(r *core.Report) {
 		delete(l.execs, key)
-		delete(l.recs, key)
 		l.sink.JobDone(key, r)
 	})
 	return &Enacted{Namespace: ns, Strategy: s}, nil

@@ -81,10 +81,8 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		envOpts = append(envOpts,
 			aimes.WithShards(f.workers()), aimes.WithWorkStealing(),
 			aimes.WithWorkerPool(aimes.WorkerPool{Endpoints: eps, MaxRestarts: f.MaxRestarts}))
-	} else if kind == "worker" {
-		envOpts = append(envOpts, aimes.WithWorkers(s.Shard+1))
 	} else {
-		envOpts = append(envOpts, aimes.WithShards(s.Shard+1))
+		envOpts = append(envOpts, aimes.WithShards(s.Shard+1), aimes.WithBackend(aimes.BackendKind(kind)))
 	}
 	env, err := aimes.NewEnv(envOpts...)
 	if err != nil {

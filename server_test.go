@@ -188,7 +188,7 @@ func TestServerParity(t *testing.T) {
 		opts []aimes.Option
 	}{
 		{"local", []aimes.Option{aimes.WithShards(nShards)}},
-		{"worker", []aimes.Option{aimes.WithWorkers(nShards)}},
+		{"worker", []aimes.Option{aimes.WithShards(nShards), aimes.WithBackend(aimes.BackendWorker)}},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
