@@ -54,7 +54,8 @@ func usage() {
   aimes-scenario run <scenario.json> [-v] [-assert] [-backend local|worker] [-seed N] [-trace out.csv]
   aimes-scenario validate <scenario.json>
 
-run      executes the scenario and prints the instrumented report
+run      executes the scenario through an execution environment and
+         prints the instrumented report
 validate parses and checks the scenario file without running it,
          reporting every problem found (exit 1 when invalid)
 
@@ -62,8 +63,9 @@ run flags:
   -assert   evaluate the scenario's assertions; exit 1 listing each
             failed assertion by index with observed vs expected values
   -backend  shard backend: "local" (in-process, the default) or "worker"
-            (child worker processes); fleet scenarios always run on the
-            worker backend`)
+            (child worker processes); both give identical results, and
+            fleet scenarios always run on the worker backend
+  -v        print each job's derived strategy`)
 }
 
 // parseWithFile parses flags that may appear before or after the single
@@ -117,7 +119,7 @@ func validateCmd(args []string) error {
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		verbose   = fs.Bool("v", false, "print the derived strategy before the report")
+		verbose   = fs.Bool("v", false, "print each job's derived strategy before the report")
 		seed      = fs.Int64("seed", 0, "override the scenario seed")
 		traceOut  = fs.String("trace", "", "write the full state trace as CSV to this file")
 		doAssert  = fs.Bool("assert", false, "evaluate the scenario's assertions and fail on any unmet one")
@@ -135,31 +137,18 @@ func runCmd(args []string) error {
 		s.Seed = *seed
 	}
 
-	// Fleet scenarios and explicit -backend worker go through the full
-	// environment (worker processes, fleet lifecycle); everything else runs
-	// on the direct single-stack path.
-	var out *scenario.Outcome
-	if s.Fleet != nil || *backendFl == "worker" {
-		o, err := scenario.RunEnv(s, scenario.EnvOptions{Backend: "worker"})
-		if err != nil {
-			return err
-		}
-		out = o
-		if err := writeOutcome(o, *verbose); err != nil {
-			return err
-		}
-	} else {
-		res, err := scenario.Run(s)
-		if err != nil {
-			return err
-		}
-		out = res.Outcome()
-		if *verbose {
-			fmt.Printf("derived: %s\n", res.Strategy)
-		}
-		if err := res.WriteSummary(os.Stdout); err != nil {
-			return err
-		}
+	// A fleet needs worker processes, so fleet scenarios run on the worker
+	// backend whatever -backend says.
+	kind := *backendFl
+	if s.Fleet != nil {
+		kind = "worker"
+	}
+	out, err := scenario.RunEnv(s, scenario.EnvOptions{Backend: kind})
+	if err != nil {
+		return err
+	}
+	if err := writeOutcome(out, *verbose); err != nil {
+		return err
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -181,32 +170,42 @@ func runCmd(args []string) error {
 	return nil
 }
 
-// writeOutcome prints the environment-path summary: per-job outcomes, the
-// applied timeline, and the fleet accounting.
+// writeOutcome prints the run summary: the applied timeline, the TTC report
+// of a one-job run (one line per job otherwise), the fleet accounting of a
+// fleet scenario, and the dynamics. verbose adds each job's derived
+// strategy.
 func writeOutcome(o *scenario.Outcome, verbose bool) error {
-	fmt.Printf("scenario: %s (environment run, %d job(s))\n", o.Scenario.Name, len(o.Jobs))
-	if o.Scenario.Description != "" {
-		fmt.Printf("  %s\n", o.Scenario.Description)
+	s := o.Scenario
+	fmt.Printf("scenario: %s\n", s.Name)
+	if s.Description != "" {
+		fmt.Printf("  %s\n", s.Description)
 	}
-	if len(o.Applied) > 0 {
+	if verbose {
+		for i, j := range o.Jobs {
+			if j.Report != nil {
+				fmt.Printf("job %d derived: %s\n", i, j.Report.Strategy)
+			}
+		}
+	}
+	switch {
+	case len(o.Applied) > 0:
 		fmt.Println("events applied:")
 		for _, a := range o.Applied {
 			fmt.Printf("  %s\n", a)
 		}
+	case len(s.Events) > 0:
+		fmt.Println("events applied: none (workload finished first)")
 	}
-	done, failed, canceled := 0, 0, 0
-	for _, j := range o.Jobs {
-		switch j.State {
-		case "done":
-			done++
-		case "failed":
-			failed++
-		case "canceled":
-			canceled++
+	if len(o.Jobs) == 1 && o.Jobs[0].State == "done" {
+		if err := o.Jobs[0].Report.WriteSummary(os.Stdout); err != nil {
+			return err
 		}
-	}
-	fmt.Printf("jobs: %d done, %d failed, %d canceled\n", done, failed, canceled)
-	if verbose {
+	} else {
+		counts := map[string]int{}
+		for _, j := range o.Jobs {
+			counts[j.State]++
+		}
+		fmt.Printf("jobs: %d done, %d failed, %d canceled\n", counts["done"], counts["failed"], counts["canceled"])
 		for i, j := range o.Jobs {
 			if j.Report != nil {
 				fmt.Printf("job %d (%s): %d units done, TTC %s\n", i, j.State, j.Report.UnitsDone, j.Report.TTC)
@@ -215,7 +214,7 @@ func writeOutcome(o *scenario.Outcome, verbose bool) error {
 			}
 		}
 	}
-	if o.Scenario.Fleet != nil {
+	if s.Fleet != nil {
 		fmt.Printf("fleet: %d restart(s), %d replayed, %d cordoned, %d unhealthy\n",
 			o.Fleet.Restarts, o.Fleet.Replayed, o.Fleet.EndpointsCordoned, o.Fleet.EndpointsUnhealthy)
 	}

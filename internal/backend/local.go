@@ -51,7 +51,8 @@ var _ Backend = (*Local)(nil)
 
 // NewLocal builds one shard stack. Shard construction order (testbed, SAGA
 // adaptors, bundle, manager RNG) is load-bearing for determinism — change it
-// and every golden trajectory moves.
+// and every golden trajectory moves. A virtual-time stack on a testbed with
+// emergent queues returns already warmed by site.Warmup.
 func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	var eng sim.Engine
 	if cfg.RealTime {
@@ -99,6 +100,15 @@ func NewLocal(cfg Config, sink Sink) (*Local, error) {
 	}
 	if q, ok := eng.(sim.Quiescer); ok {
 		l.quiescer = q
+	}
+	// Emergent queues start empty: run their background load to steady
+	// state before anything is enacted, so every shard built from the same
+	// inputs (in process or in a worker) starts from the same warmed clock.
+	// Virtual time only; a wall-clock engine cannot skip ahead.
+	if s, ok := eng.(*sim.Sim); ok {
+		if w := site.Warmup(configs); w > 0 {
+			s.RunUntil(sim.Time(w))
+		}
 	}
 	return l, nil
 }

@@ -137,8 +137,9 @@ type RunSpec struct {
 	// bundle history instead of the experiment's fixed value.
 	AutoPilots bool
 	// Warmup advances the simulation before enactment so emergent-mode
-	// background load reaches steady state. Defaults to 72 virtual hours
-	// when any site is emergent; ignored (zero) for modeled sites.
+	// background load reaches steady state. Defaults to site.Warmup of the
+	// testbed: site.EmergentWarmup when any site is emergent, zero
+	// otherwise.
 	Warmup time.Duration
 }
 
@@ -217,12 +218,7 @@ func buildEnv(spec RunSpec, seed int64) (*runEnv, error) {
 	// machines; otherwise pilots land on empty systems.
 	warmup := spec.Warmup
 	if warmup == 0 {
-		for _, c := range configs {
-			if c.Mode == site.Emergent {
-				warmup = 72 * time.Hour
-				break
-			}
-		}
+		warmup = site.Warmup(configs)
 	}
 	if warmup > 0 {
 		eng.RunUntil(sim.Time(warmup))

@@ -31,7 +31,7 @@ func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
 		for _, binding := range []string{"early", "late"} {
 			var ttc stats.Summary
 			done, resched := 0, 0
-			results := make([]*scenario.Result, reps)
+			results := make([]*scenario.Outcome, reps)
 			errs := make([]error, reps)
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, poolSize(workers))
@@ -42,7 +42,11 @@ func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
 					sem <- struct{}{}
 					defer func() { <-sem }()
 					s := outageScenario(binding, ntasks, outages, int64(10_000+rep))
-					results[rep], errs[rep] = scenario.Run(s)
+					o, err := scenario.RunEnv(s, scenario.EnvOptions{Backend: "local"})
+					if err == nil && o.Jobs[0].State != "done" {
+						err = fmt.Errorf("job %s: %s", o.Jobs[0].State, o.Jobs[0].Err)
+					}
+					results[rep], errs[rep] = o, err
 				}(r)
 			}
 			wg.Wait()
@@ -52,8 +56,8 @@ func AblationOutages(w io.Writer, ntasks, reps, workers int) error {
 						binding, outages, r, errs[r])
 				}
 				res := results[r]
-				ttc.Add(res.Report.TTC.Seconds())
-				done += res.Report.UnitsDone
+				ttc.Add(res.Jobs[0].Report.TTC.Seconds())
+				done += res.Jobs[0].Report.UnitsDone
 				resched += res.Rescheduled
 			}
 			if _, err := fmt.Fprintf(w, "%7d  %-7s  %9.0f  %7.0f  %10d  %11d\n",

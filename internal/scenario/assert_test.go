@@ -176,13 +176,12 @@ func TestValidateAssertionRejects(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "requires a fleet section") {
 		t.Fatalf("fleetless fleet assertion: %v", err)
 	}
-	// Same for a model assertion: per-job predictions are recorded by the
-	// environment runner, which fleetless scenarios need not route through.
-	err = mutate(t, func(s *Scenario) {
+	// A model assertion needs no fleet: every run records per-job
+	// predictions.
+	if err := mutate(t, func(s *Scenario) {
 		s.Assertions = []Assertion{{Kind: AssertModel, Max: floatp(1)}}
-	})
-	if err == nil || !strings.Contains(err.Error(), "requires a fleet section") {
-		t.Fatalf("fleetless model assertion: %v", err)
+	}); err != nil {
+		t.Fatalf("fleetless model assertion rejected: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"aimes/internal/backend"
 	"aimes/internal/batch"
 	"aimes/internal/core"
-	"aimes/internal/shard"
 	"aimes/internal/sim"
 	"aimes/internal/site"
 	"aimes/internal/skeleton"
@@ -19,12 +17,8 @@ import (
 	wkl "aimes/internal/scenario/workload"
 )
 
-// emergentWarmup is how long emergent testbeds run background load before
-// enactment, matching the experiment harness.
-const emergentWarmup = 72 * time.Hour
-
 // AppliedEvent records one injected event with its (virtual) firing time,
-// relative to enactment start (warmup time on emergent testbeds excluded).
+// relative to enactment start (an emergent testbed's warmup excluded).
 type AppliedEvent struct {
 	At     sim.Time
 	Action Action
@@ -34,133 +28,6 @@ type AppliedEvent struct {
 
 func (a AppliedEvent) String() string {
 	return fmt.Sprintf("%s  %-12s %-10s %s", a.At, a.Action, a.Target, a.Detail)
-}
-
-// Result is the instrumented outcome of one scenario run.
-type Result struct {
-	Scenario *Scenario
-	Strategy core.Strategy
-	Report   *core.Report
-	// Applied lists events that fired before the workload completed, in
-	// firing order; events timed after completion never fire.
-	Applied []AppliedEvent
-	// Rescheduled counts unit returns caused by lost pilots: each is a unit
-	// that had been bound (or dispatched) to a pilot that died and went back
-	// to the unit scheduler.
-	Rescheduled int
-	// PilotsLost counts pilots that ended in PilotFailed.
-	PilotsLost int
-	// Recorder holds the full state trace of the run.
-	Recorder *trace.Recorder
-}
-
-// Outcome adapts the direct-path result to the assertion evaluator: one
-// completed job, no fleet.
-func (r *Result) Outcome() *Outcome {
-	return &Outcome{
-		Scenario:    r.Scenario,
-		Jobs:        []JobOutcome{{State: "done", Report: r.Report}},
-		Applied:     r.Applied,
-		Rescheduled: r.Rescheduled,
-		PilotsLost:  r.PilotsLost,
-		Recorder:    r.Recorder,
-	}
-}
-
-// runSink collects the single direct-path job's outputs: its trace records,
-// qualified the way the environment aggregate qualifies them, and its final
-// report.
-type runSink struct {
-	rec    *trace.Recorder
-	report *core.Report
-}
-
-func (s *runSink) JobTrace(_ int, ns string, r trace.Record) {
-	s.rec.Record(r.Time, trace.QualifyEntity(r.Entity, ns), r.State, r.Detail)
-}
-
-func (s *runSink) JobDone(_ int, r *core.Report) { s.report = r }
-
-// Run executes the scenario on one in-process backend shard and returns the
-// instrumented result. The run adopts the target shard's derived seed and
-// namespace, so its trajectory and trace match an environment job pinned
-// there; chaos events are injected through the same backend seam worker
-// shards use, so the direct path and RunEnv observe identical faults.
-func Run(s *Scenario) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Fleet != nil {
-		return nil, fmt.Errorf("scenario %s: fleet scenarios run through the environment runner (RunEnv) on the worker backend", s.Name)
-	}
-	seed := shard.Seed(s.seed(), s.Shard)
-	configs, err := s.siteConfigs()
-	if err != nil {
-		return nil, err
-	}
-	sink := &runSink{rec: trace.NewRecorder()}
-	l, err := backend.NewLocal(backend.Config{Shard: s.Shard, Seed: seed, Sites: configs}, sink)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-
-	if s.Testbed.BackgroundUtil > 0 {
-		type warmable interface {
-			Now() sim.Time
-			RunUntil(t sim.Time)
-		}
-		eng, ok := l.Engine().(warmable)
-		if !ok {
-			return nil, fmt.Errorf("scenario %s: engine cannot run emergent warmup", s.Name)
-		}
-		eng.RunUntil(eng.Now().Add(emergentWarmup))
-	}
-	epoch, _ := l.Now()
-
-	// Chaos is scheduled before enactment, so every event lands at a
-	// deterministic point of the trajectory.
-	for _, ev := range s.testbedEvents() {
-		if err := l.Inject(ev.chaos()); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-	}
-
-	w, err := s.workload(seed)
-	if err != nil {
-		return nil, err
-	}
-	desc := &backend.Descriptor{
-		Key: 1, MigratedFrom: -1,
-		Descriptor: core.Descriptor{Workload: w, Config: s.strategyConfig()},
-	}
-	if a := s.Strategy.Adaptive; a != nil {
-		ac := a.config()
-		desc.Adaptive = &ac
-	}
-	en, err := l.Enact(desc)
-	if err != nil {
-		return nil, err
-	}
-	for sink.report == nil {
-		_, drained, err := l.Step(4096)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		if drained && sink.report == nil {
-			if ierr := l.Incomplete(desc.Key); ierr != nil {
-				return nil, fmt.Errorf("scenario %s: %w", s.Name, ierr)
-			}
-			return nil, fmt.Errorf("scenario %s: engine drained without completing the workload", s.Name)
-		}
-	}
-
-	res := &Result{
-		Scenario: s, Strategy: en.Strategy, Report: sink.report, Recorder: sink.rec,
-		Applied: appliedFrom(sink.rec, epoch),
-	}
-	res.PilotsLost, res.Rescheduled = dynamicsFrom(sink.rec)
-	return res, nil
 }
 
 // appliedFrom reconstructs the applied-event timeline from the "chaos"
@@ -209,8 +76,9 @@ func dynamicsFrom(rec *trace.Recorder) (pilotsLost, rescheduled int) {
 }
 
 // testbedEvents returns the timeline's site-level events ready for backend
-// injection: fleet-control events are excluded (the environment runner
-// applies those) and flap-wan is expanded into its degrade cycles.
+// injection: fleet-control events are excluded (RunEnv applies those
+// through the environment) and flap-wan is expanded into its degrade
+// cycles.
 func (s *Scenario) testbedEvents() []Event {
 	var out []Event
 	for _, e := range s.Events {
@@ -377,37 +245,4 @@ func (a AdaptiveSpec) config() core.AdaptiveConfig {
 		cfg.Patience = 15 * time.Minute
 	}
 	return cfg
-}
-
-// WriteSummary prints the scenario outcome: the applied timeline, the TTC
-// report, and the dynamics accounting.
-func (r *Result) WriteSummary(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "scenario: %s\n", r.Scenario.Name); err != nil {
-		return err
-	}
-	if r.Scenario.Description != "" {
-		if _, err := fmt.Fprintf(w, "  %s\n", r.Scenario.Description); err != nil {
-			return err
-		}
-	}
-	if len(r.Applied) > 0 {
-		if _, err := fmt.Fprintln(w, "events applied:"); err != nil {
-			return err
-		}
-		for _, a := range r.Applied {
-			if _, err := fmt.Fprintf(w, "  %s\n", a); err != nil {
-				return err
-			}
-		}
-	} else if len(r.Scenario.Events) > 0 {
-		if _, err := fmt.Fprintln(w, "events applied: none (workload finished first)"); err != nil {
-			return err
-		}
-	}
-	if err := r.Report.WriteSummary(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "dynamics: %d pilot(s) lost, %d unit reschedule(s)\n",
-		r.PilotsLost, r.Rescheduled)
-	return err
 }

@@ -10,9 +10,10 @@ import (
 	"aimes"
 	"aimes/internal/shard"
 	"aimes/internal/sim"
+	"aimes/internal/trace"
 )
 
-// EnvOptions configures the environment runner.
+// EnvOptions configures RunEnv.
 type EnvOptions struct {
 	// Backend selects the shard backend: "local" (in-process) or "worker"
 	// (child worker processes). Empty defaults to "worker" for fleet
@@ -43,11 +44,14 @@ func (o EnvOptions) timeout() time.Duration {
 
 // RunEnv executes the scenario through a full execution Environment — the
 // job API, shard placement, and (on the worker backend) real worker
-// processes and the fleet lifecycle — instead of the direct single-stack
-// path. This is the only runner for fleet scenarios: kill-worker severs the
-// target worker's transport at the event's virtual time, so the respawn and
-// replay machinery is exercised at a deterministic trajectory point, and
-// endpoint events (cordon/uncordon/drain) reach the pool control plane.
+// processes and the fleet lifecycle. It is the scenario runner: a plain
+// scenario is one job pinned to its target shard, run on the local or the
+// worker backend with identical results; an emergent testbed arrives
+// warmed, because the shard backend runs the warmup itself. On fleet
+// scenarios kill-worker severs the target worker's transport at the event's
+// virtual time, so the respawn and replay machinery is exercised at a
+// deterministic trajectory point, and endpoint events
+// (cordon/uncordon/drain) reach the pool control plane.
 //
 // Testbed chaos and kill-worker events are injected before submission.
 // Endpoint events are applied after every submission and before any
@@ -56,9 +60,6 @@ func (o EnvOptions) timeout() time.Duration {
 func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if s.Testbed.BackgroundUtil > 0 {
-		return nil, fmt.Errorf("scenario %s: emergent testbeds (background_util) run through the direct runner", s.Name)
 	}
 	kind := opts.backend(s)
 	if kind != "local" && kind != "worker" {
@@ -123,8 +124,8 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		ac := a.config()
 		jcfg.Adaptive = &ac
 	}
-	// Job 0 reuses the direct path's workload seed, so a one-job local-env
-	// run reproduces Run's trajectory; fan-out jobs draw distinct mixes.
+	// Job 0 draws its workload from the target shard's derived seed;
+	// fan-out jobs draw distinct mixes.
 	wseed := shard.Seed(s.seed(), s.Shard)
 	handles := make([]*aimes.Job, 0, jobs)
 	for i := 0; i < jobs; i++ {
@@ -192,7 +193,7 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 
 	rec := env.Recorder()
 	outcome.Recorder = rec
-	outcome.Applied = append(appliedFrom(rec, 0), applied...)
+	outcome.Applied = append(appliedFrom(rec, enactedAt(rec, handles[0].Namespace())), applied...)
 	outcome.PilotsLost, outcome.Rescheduled = dynamicsFrom(rec)
 	fleet := env.Fleet()
 	outcome.Fleet = FleetOutcome{Restarts: fleet.Restarts, Replayed: fleet.Replayed}
@@ -205,4 +206,15 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		}
 	}
 	return outcome, nil
+}
+
+// enactedAt is the target shard's clock when the job with namespace ns was
+// enacted: its first "em" record. Applied times are measured from it, since
+// an emergent warmup leaves the clock at its last fired event, not at a
+// fixed offset.
+func enactedAt(rec *trace.Recorder, ns string) sim.Time {
+	if em := rec.ByEntity("em." + ns); len(em) > 0 {
+		return em[0].Time
+	}
+	return 0
 }

@@ -1,11 +1,16 @@
 package scenario
 
 import (
+	"maps"
 	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"aimes"
+	"aimes/internal/sim"
 )
 
 // TestMain lets this test binary serve as its own worker: a child spawned
@@ -16,48 +21,83 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRunEnvLocalParity pins the two runners together: a non-fleet scenario
-// through RunEnv on the local backend must reproduce the direct path's
-// report — same shard seed, same workload seed, same chaos trajectory.
-func TestRunEnvLocalParity(t *testing.T) {
-	src := `{
-	  "name": "parity",
-	  "seed": 21,
-	  "workload": {"tasks": 24, "duration": "5m"},
-	  "strategy": {"binding": "late", "pilots": 2, "resources": ["stampede", "comet"]},
-	  "testbed": {"sites": [
-	    {"name": "stampede", "median_wait": "1m"},
-	    {"name": "comet", "median_wait": "1m"}
-	  ]},
-	  "events": [
-	    {"at": "2m", "action": "queue-surge", "target": "stampede", "wait_factor": 5, "duration": "20m"}
-	  ]
-	}`
-	s, err := ParseString(src)
-	if err != nil {
-		t.Fatal(err)
+// emergentSurge is the emergent regression case: a warmed 0.7-utilization
+// batch-simulated testbed and a real competing-job burst five minutes in.
+const emergentSurge = `{
+  "name": "emergent-inline",
+  "seed": 13,
+  "workload": {"tasks": 8, "duration": "5m"},
+  "strategy": {"binding": "late", "pilots": 2, "resources": ["stampede", "comet"]},
+  "testbed": {"sites": ["stampede", "comet"], "background_util": 0.7},
+  "events": [{"at": "5m", "action": "queue-surge", "target": "stampede", "jobs": 4}]
+}`
+
+// TestRunEnvBackendParity is the scenario runner's backend property: every
+// non-fleet example scenario, and an emergent testbed, gives DeepEqual job
+// outcomes, applied timelines, dynamics counts and trace records on the
+// local and the worker backend.
+func TestRunEnvBackendParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
 	}
-	direct, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
 	}
-	s2, err := ParseString(src)
-	if err != nil {
-		t.Fatal(err)
+	srcs := map[string]string{"emergent-inline": emergentSurge}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(b)
 	}
-	env, err := RunEnv(s2, EnvOptions{Backend: "local"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env.Jobs) != 1 || env.Jobs[0].State != "done" || env.Jobs[0].Report == nil {
-		t.Fatalf("env outcome %+v", env.Jobs)
-	}
-	if env.Jobs[0].Report.TTC != direct.Report.TTC || env.Jobs[0].Report.UnitsDone != direct.Report.UnitsDone {
-		t.Fatalf("env run diverged from direct run:\nenv:    %+v\ndirect: %+v",
-			*env.Jobs[0].Report, *direct.Report)
-	}
-	if len(env.Applied) != len(direct.Applied) {
-		t.Fatalf("applied timelines diverge: env %v, direct %v", env.Applied, direct.Applied)
+	for _, name := range slices.Sorted(maps.Keys(srcs)) {
+		t.Run(name, func(t *testing.T) {
+			s, err := ParseString(srcs[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Fleet != nil {
+				t.Skip("fleet scenarios run only on the worker backend")
+			}
+			run := func(backend string) *Outcome {
+				o, err := RunEnv(s, EnvOptions{Backend: backend})
+				if err != nil {
+					t.Fatalf("%s backend: %v", backend, err)
+				}
+				return o
+			}
+			local, worker := run("local"), run("worker")
+			if !reflect.DeepEqual(local.Jobs, worker.Jobs) {
+				t.Errorf("jobs diverge:\nlocal:  %+v\nworker: %+v", local.Jobs, worker.Jobs)
+			}
+			if !reflect.DeepEqual(local.Applied, worker.Applied) {
+				t.Errorf("applied timelines diverge:\nlocal:  %v\nworker: %v", local.Applied, worker.Applied)
+			}
+			if local.PilotsLost != worker.PilotsLost || local.Rescheduled != worker.Rescheduled {
+				t.Errorf("dynamics diverge: local %d lost/%d rescheduled, worker %d/%d",
+					local.PilotsLost, local.Rescheduled, worker.PilotsLost, worker.Rescheduled)
+			}
+			if !reflect.DeepEqual(local.Recorder.Records(), worker.Recorder.Records()) {
+				t.Errorf("traces diverge: local %d records, worker %d", local.Recorder.Len(), worker.Recorder.Len())
+			}
+			if s.Testbed.BackgroundUtil == 0 {
+				return
+			}
+			// An emergent run is enacted on a warmed testbed and completes,
+			// and its one event lands at the scheduled offset from
+			// enactment, not from the warmup start.
+			if j := local.Jobs[0]; j.State != "done" || j.Report.UnitsDone != s.Workload.Tasks {
+				t.Fatalf("emergent job %s, report %+v", j.State, j.Report)
+			}
+			if first := local.Recorder.Records()[0].Time; first == 0 {
+				t.Fatal("emergent job enacted at T=0: the testbed was not warmed")
+			}
+			if len(local.Applied) != 1 || local.Applied[0].At != sim.Time(s.Events[0].At) {
+				t.Fatalf("emergent applied timeline %v, want one event at %s", local.Applied, s.Events[0].At.Std())
+			}
+		})
 	}
 }
 
@@ -74,21 +114,6 @@ func TestRunEnvRejects(t *testing.T) {
 	if _, err := RunEnv(s, EnvOptions{Backend: "bogus"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("unknown backend: %v", err)
-	}
-	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "RunEnv") {
-		t.Fatalf("fleet on the direct runner: %v", err)
-	}
-	em, err := ParseString(`{
-	  "name": "emergent", "workload": {"tasks": 4},
-	  "strategy": {"binding": "late"},
-	  "testbed": {"background_util": 0.5}
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunEnv(em, EnvOptions{Backend: "local"}); err == nil ||
-		!strings.Contains(err.Error(), "direct runner") {
-		t.Fatalf("emergent through env runner: %v", err)
 	}
 }
 

@@ -114,8 +114,8 @@ var knownActions = map[Action]bool{
 }
 
 // fleetActions reach the worker-fleet control plane instead of the
-// simulated testbed; they require a fleet section and the environment
-// runner (RunEnv) on the worker backend.
+// simulated testbed; they require a fleet section, which runs on the worker
+// backend.
 var fleetActions = map[Action]bool{
 	ActionKillWorker: true,
 	ActionCordon:     true,
@@ -263,8 +263,7 @@ type TestbedSpec struct {
 // stack: Workers worker shards (work stealing on) spread across Endpoints
 // named endpoints "ep0".."ep<n-1>", with the jobs pinned to the scenario's
 // shard so kill-worker lands on a deterministic mix of enacted and queued
-// jobs. Fleet scenarios run only through the environment runner on the
-// worker backend.
+// jobs. Fleet scenarios run only on the worker backend.
 type FleetSpec struct {
 	// Workers is the worker-shard count, at least 2 (default 2).
 	Workers int `json:"workers,omitempty"`

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aimes/internal/core"
 )
 
 const validScenario = `{
@@ -134,6 +136,20 @@ func TestUnknownSite(t *testing.T) {
 	}
 }
 
+// runLocal runs a one-job scenario on the local backend and requires it to
+// complete with a report.
+func runLocal(t *testing.T, s *Scenario) *Outcome {
+	t.Helper()
+	o, err := RunEnv(s, EnvOptions{Backend: "local"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Jobs) != 1 || o.Jobs[0].State != "done" || o.Jobs[0].Report == nil {
+		t.Fatalf("scenario %s: jobs %+v, want one done job with a report", s.Name, o.Jobs)
+	}
+	return o
+}
+
 // TestRunOutage drives a full outage scenario through the DES and checks the
 // dynamics accounting: the pilot on the failed resource dies, its units
 // reschedule onto survivors, and nothing is lost.
@@ -160,13 +176,10 @@ func TestRunOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.UnitsDone != 32 {
+	res := runLocal(t, s)
+	if r := res.Jobs[0].Report; r.UnitsDone != 32 {
 		t.Fatalf("units done = %d, want 32 (failed %d, canceled %d)",
-			res.Report.UnitsDone, res.Report.UnitsFailed, res.Report.UnitsCanceled)
+			r.UnitsDone, r.UnitsFailed, r.UnitsCanceled)
 	}
 	if res.PilotsLost != 1 {
 		t.Fatalf("pilots lost = %d, want 1", res.PilotsLost)
@@ -178,28 +191,24 @@ func TestRunOutage(t *testing.T) {
 		t.Fatalf("applied events = %v", res.Applied)
 	}
 	// The failed resource must not have completed the whole workload.
-	if res.Report.UnitsByResource["stampede"] == 32 {
+	if res.Jobs[0].Report.UnitsByResource["stampede"] == 32 {
 		t.Fatal("all units credited to the failed resource")
 	}
 }
 
 // TestRunDeterministic checks that equal seeds give identical outcomes.
 func TestRunDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func() *Outcome {
 		s, err := ParseString(validScenario)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runLocal(t, s)
 	}
 	a, b := run(), run()
-	if a.Report.TTC != b.Report.TTC || a.Rescheduled != b.Rescheduled || a.PilotsLost != b.PilotsLost {
+	if a.Jobs[0].Report.TTC != b.Jobs[0].Report.TTC || a.Rescheduled != b.Rescheduled || a.PilotsLost != b.PilotsLost {
 		t.Fatalf("nondeterministic: TTC %v vs %v, resched %d vs %d, lost %d vs %d",
-			a.Report.TTC, b.Report.TTC, a.Rescheduled, b.Rescheduled, a.PilotsLost, b.PilotsLost)
+			a.Jobs[0].Report.TTC, b.Jobs[0].Report.TTC, a.Rescheduled, b.Rescheduled, a.PilotsLost, b.PilotsLost)
 	}
 }
 
@@ -216,27 +225,23 @@ func TestRunWANDegradation(t *testing.T) {
 	    {"name": "comet", "median_wait": "1m"}
 	  ]}%s
 	}`
-	parse := func(events string) *Result {
+	parse := func(events string) *core.Report {
 		s, err := ParseString(strings.Replace(base, "%s", events, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runLocal(t, s).Jobs[0].Report
 	}
 	clean := parse("")
 	degraded := parse(`, "events": [
 	  {"at": "0s", "action": "degrade-wan", "target": "gordon", "bandwidth_factor": 0.05},
 	  {"at": "0s", "action": "degrade-wan", "target": "comet", "bandwidth_factor": 0.05}
 	]`)
-	if degraded.Report.UnitsDone != 32 {
-		t.Fatalf("degraded run lost units: %d done", degraded.Report.UnitsDone)
+	if degraded.UnitsDone != 32 {
+		t.Fatalf("degraded run lost units: %d done", degraded.UnitsDone)
 	}
-	if degraded.Report.Ts <= clean.Report.Ts {
-		t.Fatalf("degraded staging %v not above clean %v", degraded.Report.Ts, clean.Report.Ts)
+	if degraded.Ts <= clean.Ts {
+		t.Fatalf("degraded staging %v not above clean %v", degraded.Ts, clean.Ts)
 	}
 }
 
@@ -255,17 +260,14 @@ func TestShardTargeting(t *testing.T) {
 	    {"name": "comet", "median_wait": "1m"}
 	  ]}
 	}`
-	run := func(shard int) *Result {
+	run := func(shard int) *Outcome {
 		s, err := ParseString(fmt.Sprintf(base, shard))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report.UnitsDone != 16 {
-			t.Fatalf("shard %d: units done = %d", shard, res.Report.UnitsDone)
+		res := runLocal(t, s)
+		if res.Jobs[0].Report.UnitsDone != 16 {
+			t.Fatalf("shard %d: units done = %d", shard, res.Jobs[0].Report.UnitsDone)
 		}
 		return res
 	}
@@ -273,7 +275,7 @@ func TestShardTargeting(t *testing.T) {
 
 	// Pilot IDs and em/unit entities carry the target shard's namespace,
 	// matching the environment aggregate's convention for a pinned job.
-	for shard, res := range map[int]*Result{0: s0, 2: s2} {
+	for shard, res := range map[int]*Outcome{0: s0, 2: s2} {
 		want := fmt.Sprintf("s%d-j1-", shard)
 		found := false
 		for _, rec := range res.Recorder.Records() {
@@ -297,11 +299,11 @@ func TestShardTargeting(t *testing.T) {
 	}
 	// Same shard ⇒ identical trajectory; different shards ⇒ decorrelated
 	// seeds (the TTCs agreeing would be an unlikely coincidence).
-	if s2.Report.TTC != s2b.Report.TTC {
-		t.Fatalf("shard 2 nondeterministic: %v vs %v", s2.Report.TTC, s2b.Report.TTC)
+	if s2.Jobs[0].Report.TTC != s2b.Jobs[0].Report.TTC {
+		t.Fatalf("shard 2 nondeterministic: %v vs %v", s2.Jobs[0].Report.TTC, s2b.Jobs[0].Report.TTC)
 	}
-	if s0.Report.TTC == s2.Report.TTC {
-		t.Fatalf("shards 0 and 2 produced identical TTC %v; seeds not decorrelated", s0.Report.TTC)
+	if s0.Jobs[0].Report.TTC == s2.Jobs[0].Report.TTC {
+		t.Fatalf("shards 0 and 2 produced identical TTC %v; seeds not decorrelated", s0.Jobs[0].Report.TTC)
 	}
 
 	if _, err := ParseString(`{"name": "bad", "shard": -1,

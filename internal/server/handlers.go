@@ -106,7 +106,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, tn Tenant) {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		select {
-		case <-rec.job.Done():
+		case <-rec.finished:
 		case <-timer.C: // long-poll timeout: report the non-final snapshot
 		case <-r.Context().Done():
 			return

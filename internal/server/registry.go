@@ -42,6 +42,9 @@ type jobRecord struct {
 	job       *aimes.Job
 	submitted time.Time
 	fan       *fanout
+	// finished closes once finish has recorded the terminal state, so a
+	// waiter that wakes on it sees the job's counters already bumped.
+	finished chan struct{}
 }
 
 func newRegistry(env *aimes.Environment, met *metrics, replay, buf, retain int) *registry {
@@ -137,6 +140,7 @@ func (r *registry) submit(tn Tenant, req *client.SubmitRequest) (*jobRecord, err
 		job:       j,
 		submitted: time.Now(),
 		fan:       newFanout(r.replay),
+		finished:  make(chan struct{}),
 	}
 	r.jobs[rec.id] = rec
 	r.order = append(r.order, rec)
@@ -189,6 +193,7 @@ func (r *registry) finish(rec *jobRecord) {
 	r.trimLocked()
 	r.mu.Unlock()
 	rec.fan.finish(info)
+	close(rec.finished)
 }
 
 // trimLocked evicts the oldest finished jobs beyond the retention bound.

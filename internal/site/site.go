@@ -319,3 +319,19 @@ func EmergentTestbed(configs []Config, util float64, policy batch.Policy) []Conf
 	}
 	return out
 }
+
+// EmergentWarmup is how long a testbed with emergent queues runs its
+// background load before anything is enacted, so the machines are full
+// when the first pilot arrives.
+const EmergentWarmup = 72 * time.Hour
+
+// Warmup returns EmergentWarmup when any config runs an emergent queue, and
+// zero when every queue is modeled (sampled waits need no warmup).
+func Warmup(configs []Config) time.Duration {
+	for _, c := range configs {
+		if c.Mode == Emergent {
+			return EmergentWarmup
+		}
+	}
+	return 0
+}
