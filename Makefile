@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint perfbench-test bench bench-check bench-baseline bench-drift model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race vet lint fuzz perfbench-test bench bench-check bench-baseline bench-drift model-check scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,14 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
+# Time-boxed fuzzing of the worker wire: the binary codec against its JSON
+# oracle, and the host's serve loop against arbitrary frames (first frame and
+# after a valid init). FUZZTIME overrides the per-target budget.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/backend
+	$(GO) test -run '^$$' -fuzz '^FuzzHostFrame$$' -fuzztime $(FUZZTIME) ./internal/backend
+
 # The perfbench harness is a nested module over the public API that
 # `go test ./...` from the root never compiles: vet and test it on its own
 # so an API change cannot silently break the benchmark.
@@ -36,16 +44,15 @@ bench:
 	@cat BENCH_jobs.json
 
 # Perf-regression gate: rerun the concurrent-jobs shard sweep (including the
-# skewed-load stealing point and the worker-backend codec points) and compare
-# against the committed BENCH_baseline.json (fails on a >25% jobs/s drop at
-# any shard count both recorded, a skewed-load ratio under 0.70 on multi-core
-# machines, worker-backend throughput under 0.35 of the local peak, a binary
-# codec win under 1.2x the JSON workers, over 5000 parent-side allocations
-# per job on the wire hot path, or predictive placement under 0.9 of the
-# least-loaded heuristic's throughput).
+# skewed-load stealing point and the binary-wire worker-backend point) and
+# compare against the committed BENCH_baseline.json (fails on a >25% jobs/s
+# drop at any shard count both recorded, a skewed-load ratio under 0.70 on
+# multi-core machines, worker-backend throughput under 0.35 of the local
+# peak, over 5000 parent-side allocations per job on the wire hot path, or
+# predictive placement under 0.9 of the least-loaded heuristic's throughput).
 bench-check:
 	$(GO) test -bench BenchmarkConcurrentJobs -benchtime 3x -run '^$$' .
-	$(GO) run ./cmd/bench-check -min-worker-ratio 0.35 -min-codec-speedup 1.2 -max-worker-allocs 5000 -min-predictive-ratio 0.9
+	$(GO) run ./cmd/bench-check -min-worker-ratio 0.35 -max-worker-allocs 5000 -min-predictive-ratio 0.9
 
 # Refresh the committed baseline from a fresh sweep on this machine.
 bench-baseline:
@@ -120,4 +127,4 @@ server-smoke:
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
 
-ci: lint race perfbench-test bench-check model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
+ci: lint race fuzz perfbench-test bench-check model-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke

@@ -623,21 +623,14 @@ func WithWorkerPool(p WorkerPool) Option {
 	}
 }
 
-// Wire codecs for WithWireCodec.
-const (
-	// CodecJSON pins the field-named JSON payload encoding — debuggable
-	// with a pipe tee, interoperable with every worker ever shipped.
-	CodecJSON = backend.CodecJSON
-	// CodecBinary demands the compact binary payload encoding; NewEnv fails
-	// against a worker that cannot speak it.
-	CodecBinary = backend.CodecBinary
-)
+// CodecBinary names the worker wire's one payload encoding, the compact
+// binary form both sides speak from the first frame.
+const CodecBinary = backend.CodecBinary
 
-// WithWireCodec selects the worker wire codec. The default (empty string)
-// negotiates: the binary codec when the worker offers it, JSON otherwise —
-// so new parents interoperate with old workers. Pass CodecJSON to pin the
-// debuggable encoding or CodecBinary to fail fast instead of silently
-// falling back. No effect on the local backend.
+// WithWireCodec names the worker wire codec. The wire speaks only
+// CodecBinary, so the accepted values are CodecBinary and "" (the default,
+// equivalent); NewEnv refuses any other name. No effect on the local
+// backend.
 func WithWireCodec(name string) Option {
 	return func(o *envOptions) { o.wireCodec = name }
 }
@@ -677,10 +670,8 @@ func NewEnv(opts ...Option) (*Environment, error) {
 	if o.steal && o.realTime {
 		return nil, fmt.Errorf("aimes: WithWorkStealing with WithRealTime: work stealing migrates queued jobs between shard engines pumped in virtual time; the wall-clock engine runs a single self-advancing shard")
 	}
-	switch o.wireCodec {
-	case "", CodecJSON, CodecBinary:
-	default:
-		return nil, fmt.Errorf("aimes: unknown wire codec %q (want CodecJSON, CodecBinary, or empty for negotiated)", o.wireCodec)
+	if o.wireCodec != "" && o.wireCodec != CodecBinary {
+		return nil, fmt.Errorf("aimes: unknown wire codec %q (the worker wire speaks only %q)", o.wireCodec, CodecBinary)
 	}
 	var pcfg backend.PoolConfig
 	if o.kind == BackendWorker {

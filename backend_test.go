@@ -124,8 +124,7 @@ func tcpWorkers(addr, secret string) aimes.Option {
 // TestBackendParity is the acceptance matrix for the backend seam: the same
 // seeded, pinned workload mix must produce identical per-job reports —
 // strategies, TTC decompositions, pilot waits, allocation accounting — on
-// the in-process backend and on worker shards over every transport × codec
-// combination.
+// the in-process backend and on worker shards over every transport.
 func TestBackendParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -136,9 +135,7 @@ func TestBackendParity(t *testing.T) {
 		name string
 		opts []aimes.Option
 	}{
-		{"stdio/json", []aimes.Option{aimes.WithShards(3), aimes.WithBackend(aimes.BackendWorker), aimes.WithWireCodec(aimes.CodecJSON)}},
 		{"stdio/binary", []aimes.Option{aimes.WithShards(3), aimes.WithBackend(aimes.BackendWorker), aimes.WithWireCodec(aimes.CodecBinary)}},
-		{"tcp/json", []aimes.Option{aimes.WithShards(3), tcpWorkers(addr, secret), aimes.WithWireCodec(aimes.CodecJSON)}},
 		{"tcp/binary", []aimes.Option{aimes.WithShards(3), tcpWorkers(addr, secret), aimes.WithWireCodec(aimes.CodecBinary)}},
 	}
 	for _, combo := range combos {
@@ -163,16 +160,24 @@ func TestBackendParity(t *testing.T) {
 	}
 }
 
-// TestWireCodecValidation covers the negotiation's refusal paths: an
-// unknown codec name is rejected at NewEnv before anything spawns, and on
-// the wire an init requesting a codec the worker lacks is answered with a
-// descriptive error (see TestHostRejectsUnknownCodec in internal/backend
-// for the host side).
+// TestWireCodecValidation covers the codec option's refusal path: the wire
+// speaks only the binary codec, so any other name, "json" included, is
+// rejected at NewEnv before anything spawns, naming the one codec there is,
+// while "" and CodecBinary are accepted.
 func TestWireCodecValidation(t *testing.T) {
-	if _, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWireCodec("yaml")); err == nil {
-		t.Fatal("unknown wire codec accepted")
-	} else if !strings.Contains(err.Error(), "yaml") {
-		t.Fatalf("unknown-codec error does not name the codec: %v", err)
+	for _, name := range []string{"json", "yaml"} {
+		if _, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWireCodec(name)); err == nil {
+			t.Fatalf("wire codec %q accepted", name)
+		} else if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), aimes.CodecBinary) {
+			t.Fatalf("codec %q error does not name the codec and the supported one: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", aimes.CodecBinary} {
+		env, err := aimes.NewEnv(aimes.WithShards(1), aimes.WithWireCodec(name))
+		if err != nil {
+			t.Fatalf("wire codec %q refused: %v", name, err)
+		}
+		env.Close()
 	}
 	// Secretless TCP config must fail fast and say what to set.
 	t.Setenv("AIMES_WORKER_SECRET", "")

@@ -556,31 +556,22 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		predictivePoint = &p
 	})
 
-	// Worker-backend points: the same balanced workload with every shard as
-	// a child OS process, once per wire codec. The binary point is the
-	// gated one (cmd/bench-check -min-worker-ratio compares it against the
-	// local peak); the JSON point exists to keep the codec speedup honest
-	// in the trajectory record. Unlike the shard sweep these always run —
-	// even on one hardware thread the wire cost is real and worth tracking
-	// — so the worker count has a floor of two. The bench binary
+	// Worker-backend point: the same balanced workload with every shard as
+	// a child OS process on the binary wire codec, gated by cmd/bench-check
+	// -min-worker-ratio against the local peak. Unlike the shard sweep it
+	// always runs — even on one hardware thread the wire cost is real and
+	// worth tracking — so the worker count has a floor of two. The bench binary
 	// self-hosts the workers (TestMain arms it).
 	nWorkers := runtime.GOMAXPROCS(0)
 	if nWorkers < 2 {
 		nWorkers = 2
 	}
-	var workersPoint, workersJSONPoint *sweepPoint
+	var workersPoint *sweepPoint
 	b.Run(fmt.Sprintf("workers=%d/codec=binary", nWorkers), func(b *testing.B) {
 		p := measure(b, nWorkers, func(i int) (*aimes.Environment, error) {
 			return aimes.NewEnv(aimes.WithSeed(int64(8484+i)), aimes.WithShards(nWorkers), aimes.WithBackend(aimes.BackendWorker))
 		}, aimes.JobConfig{StrategyConfig: cfg})
 		workersPoint = &p
-	})
-	b.Run(fmt.Sprintf("workers=%d/codec=json", nWorkers), func(b *testing.B) {
-		p := measure(b, nWorkers, func(i int) (*aimes.Environment, error) {
-			return aimes.NewEnv(aimes.WithSeed(int64(8484+i)), aimes.WithShards(nWorkers), aimes.WithBackend(aimes.BackendWorker),
-				aimes.WithWireCodec(aimes.CodecJSON))
-		}, aimes.JobConfig{StrategyConfig: cfg})
-		workersJSONPoint = &p
 	})
 
 	// The headline is the best-throughput point, not the widest one: on some
@@ -610,17 +601,10 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		}
 		return m
 	}
-	workersJPS, workersJSONJPS, workerAllocs := 0.0, 0.0, 0.0
+	workersJPS, workerAllocs := 0.0, 0.0
 	if workersPoint != nil {
 		workersJPS = workersPoint.JobsPerSecond
 		workerAllocs = workersPoint.AllocsPerJob
-	}
-	if workersJSONPoint != nil {
-		workersJSONJPS = workersJSONPoint.JobsPerSecond
-	}
-	codecSpeedup := 0.0
-	if workersJSONJPS > 0 {
-		codecSpeedup = workersJPS / workersJSONJPS
 	}
 	leastLoadedJPS, predictiveJPS, predictiveRatio := 0.0, 0.0, 0.0
 	if leastLoadedPoint != nil {
@@ -641,15 +625,11 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		"jobs_per_second":      peak.JobsPerSecond,
 		"peak_shards":          peak.Shards,
 		"speedup_vs_one_shard": peak.JobsPerSecond / base.JobsPerSecond,
-		// Worker-backend trajectory points: binary is the default codec
-		// (gated via bench-check -min-worker-ratio against the local peak),
-		// json is the negotiation fallback, and their ratio is the codec's
-		// measured win on this hardware.
-		"workers":                      nWorkers,
-		"workers_jobs_per_second":      workersJPS,
-		"workers_json_jobs_per_second": workersJSONJPS,
-		"worker_codec_speedup":         codecSpeedup,
-		"worker_allocs_per_job":        workerAllocs,
+		// Worker-backend trajectory point (gated via bench-check
+		// -min-worker-ratio against the local peak and -max-worker-allocs).
+		"workers":                 nWorkers,
+		"workers_jobs_per_second": workersJPS,
+		"worker_allocs_per_job":   workerAllocs,
 		// Placement-policy comparison at placeShards shards (gated via
 		// bench-check -min-predictive-ratio): the cost model's predictive
 		// ranking vs the reactive least-loaded heuristic.
@@ -669,17 +649,16 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 	// record per run, so bench-check -drift can flag slow regressions that
 	// stay under the single-run threshold.
 	hist := skewKeys(map[string]any{
-		"time":                         time.Now().UTC().Format(time.RFC3339),
-		"commit":                       benchCommit(),
-		"gomaxprocs":                   maxprocs,
-		"jobs":                         nJobs,
-		"tasks_per_job":                nTasks,
-		"sweep":                        sweep,
-		"jobs_per_second":              peak.JobsPerSecond,
-		"workers_jobs_per_second":      workersJPS,
-		"workers_json_jobs_per_second": workersJSONJPS,
-		"worker_allocs_per_job":        workerAllocs,
-		"predictive_ratio":             predictiveRatio,
+		"time":                    time.Now().UTC().Format(time.RFC3339),
+		"commit":                  benchCommit(),
+		"gomaxprocs":              maxprocs,
+		"jobs":                    nJobs,
+		"tasks_per_job":           nTasks,
+		"sweep":                   sweep,
+		"jobs_per_second":         peak.JobsPerSecond,
+		"workers_jobs_per_second": workersJPS,
+		"worker_allocs_per_job":   workerAllocs,
+		"predictive_ratio":        predictiveRatio,
 	})
 	line, err := json.Marshal(hist)
 	if err != nil {

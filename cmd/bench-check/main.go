@@ -15,7 +15,6 @@
 //	go run ./cmd/bench-check -min-speedup 1.5 # also require the shard speedup
 //	go run ./cmd/bench-check -drift 20        # also check the last 20 history records
 //	go run ./cmd/bench-check -min-worker-ratio 0.5  # worker backend ≥ half the local peak
-//	go run ./cmd/bench-check -min-codec-speedup 1.2 # binary codec beats JSON workers
 //	go run ./cmd/bench-check -max-worker-allocs 30000 # parent-side allocs/job ceiling
 //
 // Shard counts present in only one file (e.g. a different GOMAXPROCS than
@@ -54,12 +53,9 @@ type record struct {
 	SkewedJobsPerSecond float64      `json:"skewed_jobs_per_second"`
 	SkewRatio           float64      `json:"skew_ratio"`
 
-	// Worker-backend points: out-of-process shards over the wire protocol,
-	// binary codec (the negotiated default) and the JSON fallback.
+	// Worker-backend point: out-of-process shards over the binary wire.
 	Workers            int     `json:"workers"`
 	WorkersJPS         float64 `json:"workers_jobs_per_second"`
-	WorkersJSONJPS     float64 `json:"workers_json_jobs_per_second"`
-	WorkerCodecSpeedup float64 `json:"worker_codec_speedup"`
 	WorkerAllocsPerJob float64 `json:"worker_allocs_per_job"`
 
 	// Placement-policy comparison: cost-model-guided placement vs the
@@ -178,7 +174,6 @@ func main() {
 	minSpeedup := flag.Float64("min-speedup", 0, "minimum required speedup at the peak shard count vs one shard (0 disables; skipped when GOMAXPROCS < 2)")
 	minSkew := flag.Float64("min-skew", 0.70, "minimum required skewed-load ratio: all-jobs-on-shard-0 throughput with stealing vs balanced round-robin (0 disables; skipped when the record has no skew point)")
 	minWorkerRatio := flag.Float64("min-worker-ratio", 0, "minimum required worker-backend throughput as a fraction of the local-shard peak (0 disables; skipped when the record has no worker point)")
-	minCodecSpeedup := flag.Float64("min-codec-speedup", 0, "minimum required binary-codec worker throughput as a multiple of the JSON-codec worker throughput (0 disables)")
 	maxWorkerAllocs := flag.Float64("max-worker-allocs", 0, "maximum tolerated parent-side heap allocations per job on the worker backend (0 disables)")
 	minPredictiveRatio := flag.Float64("min-predictive-ratio", 0, "minimum required predictive-placement throughput as a fraction of the least-loaded heuristic at the same shard count (0 disables; skipped when the record has no placement points)")
 	drift := flag.Int("drift", 0, "compare the newest history record against the median of up to N prior comparable records (0 disables)")
@@ -274,16 +269,6 @@ func main() {
 			}
 			fmt.Printf("bench-check: worker backend (%d workers, binary codec) %8.0f jobs/s = %.2f of local peak %s\n",
 				cur.Workers, cur.WorkersJPS, ratio, verdict)
-		}
-	}
-	if *minCodecSpeedup > 0 {
-		if cur.WorkerCodecSpeedup == 0 {
-			fmt.Printf("bench-check: no JSON-codec worker point recorded, codec-speedup requirement skipped\n")
-		} else if cur.WorkerCodecSpeedup < *minCodecSpeedup {
-			failures = append(failures, fmt.Sprintf("binary codec only %.2fx the JSON worker throughput, required %.2fx",
-				cur.WorkerCodecSpeedup, *minCodecSpeedup))
-		} else {
-			fmt.Printf("bench-check: binary codec %.2fx JSON worker throughput ok\n", cur.WorkerCodecSpeedup)
 		}
 	}
 	if *maxWorkerAllocs > 0 {

@@ -3,7 +3,7 @@ package backend
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -17,20 +17,32 @@ import (
 	"aimes/internal/trace"
 )
 
-// writeFrame and readFrame are the tests' own hand-rolled JSON framing — an
-// independent implementation of the wire's bootstrap encoding, so the serve
-// loop is exercised by a peer that shares no session-layer code with it.
+// writeFrame and readFrame are the tests' own hand-rolled framing around
+// the binary codec, so the serve loop is exercised by a peer that shares no
+// session-layer code with it. v is a *request or a *response.
 func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
+	var body []byte
+	var err error
+	switch v := v.(type) {
+	case *request:
+		body, err = newBinaryCodec().AppendRequest(nil, v)
+	case *response:
+		body, err = newBinaryCodec().AppendResponse(nil, v)
+	default:
+		return fmt.Errorf("writeFrame: unsupported %T", v)
+	}
 	if err != nil {
 		return err
 	}
+	return writePayload(w, body)
+}
+
+// writePayload frames an already-encoded payload — in any encoding, which
+// is how tests play peers that do not speak the wire's codec.
+func writePayload(w io.Writer, body []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	_, err := w.Write(append(hdr[:], body...))
 	return err
 }
 
@@ -43,13 +55,19 @@ func readFrame(r io.Reader, v any) error {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return err
 	}
-	return json.Unmarshal(body, v)
+	switch v := v.(type) {
+	case *request:
+		return newBinaryCodec().DecodeRequest(body, v)
+	case *response:
+		return newBinaryCodec().DecodeResponse(body, v)
+	}
+	return fmt.Errorf("readFrame: unsupported %T", v)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := request{ID: 42, Op: opStep, Max: 64}
 	buf := make([]byte, 4, 256)
-	buf, err := jsonCodec{}.AppendRequest(buf, &in)
+	buf, err := newBinaryCodec().AppendRequest(buf, &in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +79,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out request
-	if err := (jsonCodec{}).DecodeRequest(payload, &out); err != nil {
+	if err := newBinaryCodec().DecodeRequest(payload, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -77,14 +95,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("oversized frame length: got %v", err)
 	}
 	// The limit is configurable at transport construction; a frame over a
-	// small limit fails on both the write and the read side.
-	if err := finishFrame(buf, 8); err == nil {
+	// small limit fails on both the write and the read side. The limit sits
+	// one byte under this payload, so the check is exact, not approximate.
+	small := len(buf) - 4 - 1
+	if err := finishFrame(buf, small); err == nil {
 		t.Fatal("oversized frame encoded under a small limit")
 	}
 	if err := finishFrame(buf, DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrameInto(bytes.NewReader(buf), nil, 8); err == nil {
+	if _, err := readFrameInto(bytes.NewReader(buf), nil, small); err == nil {
 		t.Fatal("oversized frame read under a small limit")
 	}
 }
@@ -201,8 +221,8 @@ func TestLocalBackendLifecycle(t *testing.T) {
 }
 
 // TestServeProtocol runs the worker serve loop over in-memory pipes and
-// checks init, enact, step-to-done, and close — the protocol exercised
-// without processes.
+// checks init (refused, then corrected), enact, step-to-done, and close —
+// the protocol exercised without processes.
 func TestServeProtocol(t *testing.T) {
 	cr, cw := io.Pipe() // client reads ← worker writes
 	wr, ww := io.Pipe() // worker reads ← client writes
@@ -229,6 +249,16 @@ func TestServeProtocol(t *testing.T) {
 
 	if resp := call(&request{Op: opStep, Max: 1}); resp.Err == "" {
 		t.Fatal("operation before init succeeded")
+	}
+	// A refused init (here an unknown batch-policy name) is answered with a
+	// descriptive error and leaves the host alive and uninitialized, so a
+	// corrected init succeeds on the same stream.
+	bad := &initConfig{Shard: 0, Seed: 42, Sites: []wireSite{{Name: "x", Nodes: 1, CoresPerNode: 1, PolicyName: "no-such-policy"}}}
+	if resp := call(&request{Op: opInit, Init: bad}); !strings.Contains(resp.Err, "no-such-policy") {
+		t.Fatalf("init with an unknown policy: err %q", resp.Err)
+	}
+	if resp := call(&request{Op: opStep, Max: 1}); resp.Err == "" {
+		t.Fatal("operation after a refused init succeeded")
 	}
 	if resp := call(&request{Op: opInit, Init: &initConfig{Shard: 0, Seed: 42, DefTestb: true}}); resp.Err != "" {
 		t.Fatalf("init: %s", resp.Err)

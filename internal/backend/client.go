@@ -13,8 +13,8 @@ import (
 
 // Worker is the out-of-process execution backend: one shard hosted behind a
 // Transport (a spawned child process over stdio, or a TCP worker host on
-// another machine), with the Backend interface proxied across a framed,
-// codec-negotiated session. Every response's events are replayed into the
+// another machine), with the Backend interface proxied across a framed
+// binary session. Every response's events are replayed into the
 // sink before the originating call returns, so the environment observes the
 // same callback ordering as with Local.
 //
@@ -39,31 +39,23 @@ var (
 // WorkerOptions tunes the session Connect builds; the zero value is the
 // production default.
 type WorkerOptions struct {
-	// Codec selects the wire codec: CodecJSON pins JSON, CodecBinary
-	// demands binary (Connect fails against a worker that cannot speak it),
-	// and "" negotiates binary with a silent JSON fallback.
+	// Codec names the wire codec. The wire speaks only CodecBinary, so
+	// the accepted values are "" and CodecBinary (equivalent); Connect
+	// refuses any other name.
 	Codec string
 	// MaxFrame overrides the per-frame size limit (0 means
 	// DefaultMaxFrame). Both sides of a connection must agree.
 	MaxFrame int
 }
 
-// SpawnWorker starts argv as a shard worker child over stdio with default
-// options — the original worker-backend entry point, kept as the
-// convenience form of Connect.
-func SpawnWorker(argv []string, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
-	return Connect(&ProcessTransport{Argv: argv}, WorkerOptions{}, cfg, sink, onDeath)
-}
-
-// Connect dials a shard worker over tr, performs the init exchange
-// (including codec negotiation, which always happens in JSON), and returns
-// the connected backend. onDeath, when non-nil, runs exactly once if the
-// worker dies before Close — whether the transport observes it out of band
-// (a child process exiting) or a call finds the connection broken.
+// Connect dials a shard worker over tr, performs the init exchange (in the
+// binary codec, like every frame), and returns the connected backend.
+// onDeath, when non-nil, runs exactly once if the worker dies before Close —
+// whether the transport observes it out of band (a child process exiting)
+// or a call finds the connection broken.
 func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath func(error)) (*Worker, error) {
-	if !validCodecChoice(opt.Codec) {
-		_, err := newCodec(opt.Codec)
-		return nil, err
+	if opt.Codec != "" && opt.Codec != CodecBinary {
+		return nil, fmt.Errorf("backend: unknown wire codec %q (the worker wire speaks only %q)", opt.Codec, CodecBinary)
 	}
 	ic, err := configToWire(cfg)
 	if err != nil {
@@ -76,23 +68,10 @@ func Connect(tr Transport, opt WorkerOptions, cfg Config, sink Sink, onDeath fun
 	}
 	s.attach(conn)
 	w := &Worker{shard: cfg.Shard, s: s, sink: sink}
-
-	// Ask for binary unless the caller pinned JSON; the worker echoes what
-	// it accepted, and an echo we did not ask for is ignored.
-	if opt.Codec == "" || opt.Codec == CodecBinary {
-		ic.Codec = CodecBinary
-	}
-	resp, err := w.callTimeout(&request{Op: opInit, Init: ic}, spawnTimeout)
-	if err == nil && opt.Codec == CodecBinary && resp.Codec != CodecBinary {
-		err = fmt.Errorf("worker did not accept the %q wire codec (echoed %q)", CodecBinary, resp.Codec)
-	}
-	if err != nil {
+	if _, err := w.callTimeout(&request{Op: opInit, Init: ic}, spawnTimeout); err != nil {
 		s.closing.Store(true) // suppress the death callback for a spawn that never worked
 		_ = conn.Kill()       // also unblocks a still-pending init read
 		return nil, fmt.Errorf("backend: initializing worker for shard %d: %w", cfg.Shard, err)
-	}
-	if ic.Codec != "" && resp.Codec == CodecBinary {
-		s.use(newBinaryCodec())
 	}
 	return w, nil
 }
@@ -289,10 +268,8 @@ func (w *Worker) Dead() bool { return w.s.deadErr() != nil }
 // dispatch, and the prober goroutine must not replay events outside the
 // shard's serialization. Concurrency is safe — the session serializes the
 // wire — and a broken connection surfaces here exactly as on any other
-// exchange: the session goes dead and the death callback fires once.
-//
-// A pre-negotiation worker that answers "unknown operation" still proves
-// liveness, so an Err response is not a ping failure.
+// exchange: the session goes dead and the death callback fires once. Any
+// answer proves liveness, so an Err response is not a ping failure.
 func (w *Worker) Ping() error {
 	var resp response
 	if err := w.s.exchange(&request{Op: opPing}, &resp); err != nil {

@@ -10,21 +10,28 @@ import (
 	"aimes/internal/trace"
 )
 
-// binaryCodec is the compact payload encoding, negotiated at init. It is a
-// hybrid by design: the hot event stream — trace records and the scalar
-// fields around them, which dominate the byte volume and the decode CPU of
-// every Step response — is native binary (varints, length-prefixed strings,
-// trace.WireRecord's wire form), while the cold structured payloads that
-// cross the wire a handful of times per job (descriptors, workloads,
-// strategies, reports, the init config) ride as length-prefixed JSON blobs.
-// That keeps the full request/response value space representable (the fuzz
-// battery proves both codecs decode each other's value space) without
-// hand-maintaining binary layouts for deep config structs that the profile
-// says never matter.
+// CodecBinary names the worker wire's one payload encoding. Both sides
+// speak it from the first frame, init included; WorkerOptions.Codec accepts
+// it (or "") so configurations that name the codec keep working, and any
+// other name is refused.
+const CodecBinary = "binary"
+
+// binaryCodec is the wire's payload encoding. It is a hybrid by design: the
+// hot event stream — trace records and the scalar fields around them, which
+// dominate the byte volume and the decode CPU of every Step response — is
+// native binary (varints, length-prefixed strings, trace.WireRecord's wire
+// form), while the cold structured payloads that cross the wire a handful of
+// times per job (descriptors, workloads, strategies, reports, the init
+// config) ride as length-prefixed JSON blobs. That keeps the full
+// request/response value space representable (the fuzz battery checks it
+// against a plain JSON reference encoding) without hand-maintaining binary
+// layouts for deep config structs that the profile says never matter.
 //
 // A binaryCodec instance is stateful — the decode side interns entity,
 // state and namespace strings, because a shard emits the same few dozen of
 // them millions of times — so each session side owns a fresh instance.
+// Encoders append to a caller-owned buffer so the hot path reuses one
+// allocation per session; decoders fill a caller-owned struct.
 type binaryCodec struct {
 	strings map[string]string
 }
@@ -32,8 +39,6 @@ type binaryCodec struct {
 func newBinaryCodec() *binaryCodec {
 	return &binaryCodec{strings: make(map[string]string, 64)}
 }
-
-func (*binaryCodec) Name() string { return CodecBinary }
 
 // internMax caps the intern table; a pathological stream of unique strings
 // resets it rather than growing without bound.
@@ -213,7 +218,6 @@ func (c *binaryCodec) AppendResponse(dst []byte, resp *response) ([]byte, error)
 	dst = binary.AppendUvarint(dst, resp.ID)
 	dst = appendWireString(dst, resp.Err)
 	dst = appendWireString(dst, resp.Diag)
-	dst = appendWireString(dst, resp.Codec)
 	var bits byte
 	if resp.Drained {
 		bits |= respDrained
@@ -275,7 +279,6 @@ func (c *binaryCodec) DecodeResponse(data []byte, resp *response) error {
 	resp.ID = r.uvarint()
 	resp.Err = string(r.bytes())
 	resp.Diag = string(r.bytes())
-	resp.Codec = string(r.bytes())
 	bits := r.byte()
 	resp.Drained = bits&respDrained != 0
 	resp.Fired = int(r.varint())

@@ -54,10 +54,12 @@ func pipeWorker(t *testing.T) Transport {
 }
 
 // TestConnectNegotiatesBinary drives the real client against the real serve
-// loop in-memory: the default codec choice lands on binary, and the session
-// works end to end over it.
+// loop in-memory: both accepted codec names ("" and CodecBinary) speak
+// binary from the init frame on and work end to end, while any other name,
+// "json" included, fails Connect before dialing, naming the one codec the
+// wire speaks.
 func TestConnectNegotiatesBinary(t *testing.T) {
-	for _, choice := range []string{"", CodecBinary, CodecJSON} {
+	for _, choice := range []string{"", CodecBinary} {
 		w, err := Connect(pipeWorker(t), WorkerOptions{Codec: choice}, Config{Shard: 2, Seed: 7}, &collectSink{}, nil)
 		if err != nil {
 			t.Fatalf("codec %q: %v", choice, err)
@@ -69,63 +71,24 @@ func TestConnectNegotiatesBinary(t *testing.T) {
 			t.Fatalf("codec %q: close: %v", choice, err)
 		}
 	}
-}
-
-// TestHostRejectsUnknownCodec checks the negotiation's server half: an init
-// requesting a codec this worker cannot speak is answered with a
-// descriptive error — in JSON, so the client can read the verdict — and the
-// worker stays alive for a corrected init.
-func TestHostRejectsUnknownCodec(t *testing.T) {
-	cr, sw := io.Pipe()
-	sr, cw := io.Pipe()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- Serve(sr, sw) }()
-
-	call := func(req *request) *response {
-		t.Helper()
-		if err := writeFrame(cw, req); err != nil {
-			t.Fatal(err)
+	for _, choice := range []string{"json", "yaml"} {
+		dialed := false
+		tr := transportFunc(func(int, func(error)) (Conn, error) {
+			dialed = true
+			return nil, errors.New("unreachable")
+		})
+		_, err := Connect(tr, WorkerOptions{Codec: choice}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
+		if err == nil || !strings.Contains(err.Error(), choice) || !strings.Contains(err.Error(), CodecBinary) {
+			t.Fatalf("codec %q: Connect error %v does not name the codec and %q", choice, err, CodecBinary)
 		}
-		var resp response
-		if err := readFrame(cr, &resp); err != nil {
-			t.Fatal(err)
+		if dialed {
+			t.Fatalf("codec %q: Connect dialed before refusing the codec", choice)
 		}
-		return &resp
-	}
-	resp := call(&request{ID: 1, Op: opInit, Init: &initConfig{Shard: 0, Seed: 1, DefTestb: true, Codec: "yaml"}})
-	if resp.Err == "" {
-		t.Fatal("unknown codec accepted")
-	}
-	for _, want := range []string{"yaml", CodecJSON, CodecBinary} {
-		if !strings.Contains(resp.Err, want) {
-			t.Errorf("rejection %q does not mention %q", resp.Err, want)
-		}
-	}
-	if resp.Codec != "" {
-		t.Fatalf("rejection echoed codec %q", resp.Codec)
-	}
-	// The worker survives the refusal: a corrected init succeeds and the
-	// echo confirms the accepted codec.
-	resp = call(&request{ID: 2, Op: opInit, Init: &initConfig{Shard: 0, Seed: 1, DefTestb: true, Codec: CodecJSON}})
-	if resp.Err != "" {
-		t.Fatalf("corrected init failed: %s", resp.Err)
-	}
-	if resp.Codec != CodecJSON {
-		t.Fatalf("echoed codec %q, want %q", resp.Codec, CodecJSON)
-	}
-	call(&request{ID: 3, Op: opClose})
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve did not return after close")
 	}
 }
 
-// scriptedServer answers the init exchange like a pre-negotiation worker
-// (plain JSON, no codec echo) and then hands the stream to script.
+// scriptedServer answers the init exchange like a real worker (a binary
+// success response) and then hands the stream to script.
 func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Transport {
 	t.Helper()
 	return transportFunc(func(int, func(error)) (Conn, error) {
@@ -146,54 +109,22 @@ func scriptedServer(t *testing.T, script func(r io.Reader, w *io.PipeWriter)) Tr
 	})
 }
 
-// TestJSONFallbackAgainstOldWorker pins interoperability: a worker that
-// never heard of negotiation (no codec echo) keeps a default-codec client
-// on JSON, while a client that demands binary fails the connect
-// descriptively instead of speaking JSON at a peer expecting binary.
-func TestJSONFallbackAgainstOldWorker(t *testing.T) {
-	echo := func(r io.Reader, w *io.PipeWriter) {
-		for {
-			var req request
-			if err := readFrame(r, &req); err != nil {
-				return
-			}
-			if err := writeFrame(w, &response{ID: req.ID, Seed: 424242}); err != nil {
-				return
-			}
-		}
-	}
-	w, err := Connect(scriptedServer(t, echo), WorkerOptions{}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-	if err != nil {
-		t.Fatalf("fallback connect: %v", err)
-	}
-	if seed, err := w.AppSeed(); err != nil || seed != 424242 {
-		t.Fatalf("post-fallback call: %d, %v (the session must still be on JSON)", seed, err)
-	}
-
-	_, err = Connect(scriptedServer(t, echo), WorkerOptions{Codec: CodecBinary}, Config{Shard: 0, Seed: 1}, &collectSink{}, nil)
-	if err == nil {
-		t.Fatal("strict binary connected to a JSON-only worker")
-	}
-	if !strings.Contains(err.Error(), CodecBinary) {
-		t.Fatalf("strict-binary failure not descriptive: %v", err)
-	}
-}
-
 // TestFrameCorruptionFailsShardNotProcess is the containment half of the
-// framing contract: a worker that answers with a truncated or oversized
-// frame kills that session — the call errors, later calls fail fast, the
-// death callback fires once so the environment fails the shard's jobs —
-// and nothing panics or exits the parent process.
+// framing contract: a worker that answers with a truncated, oversized or
+// undecodable frame, or in a codec other than the wire's, kills that
+// session — the call errors, later calls fail fast, the death callback
+// fires once so the environment fails the shard's jobs — and nothing
+// panics or exits the parent process.
 func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(w *io.PipeWriter)
+		corrupt func(w *io.PipeWriter, req *request)
 		want    string
 	}{
 		{
 			// Header promises 100 bytes, the stream ends after 10.
 			name: "truncated",
-			corrupt: func(w *io.PipeWriter) {
+			corrupt: func(w *io.PipeWriter, _ *request) {
 				w.Write([]byte{0, 0, 0, 100})
 				w.Write(make([]byte, 10))
 				w.Close()
@@ -203,17 +134,27 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 		{
 			// Header promises more than the frame limit allows.
 			name: "oversized",
-			corrupt: func(w *io.PipeWriter) {
+			corrupt: func(w *io.PipeWriter, _ *request) {
 				w.Write([]byte{0x7F, 0xFF, 0xFF, 0xFF})
 			},
 			want: "exceeds",
 		},
 		{
-			// A full frame whose payload is not the negotiated codec.
+			// A full frame whose payload is not a binary response.
 			name: "garbage",
-			corrupt: func(w *io.PipeWriter) {
+			corrupt: func(w *io.PipeWriter, _ *request) {
 				w.Write([]byte{0, 0, 0, 4})
 				w.Write([]byte("????"))
+			},
+			want: "decoding frame",
+		},
+		{
+			// A peer answering a well-formed response in JSON instead of
+			// the wire's codec.
+			name: "json-peer",
+			corrupt: func(w *io.PipeWriter, req *request) {
+				body, _ := jsonCodec{}.AppendResponse(nil, &response{ID: req.ID, Fired: 3, Drained: true})
+				writePayload(w, body)
 			},
 			want: "decoding frame",
 		},
@@ -227,10 +168,9 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 				if err := readFrame(r, &req); err != nil {
 					return
 				}
-				tc.corrupt(w)
+				tc.corrupt(w, &req)
 			})
-			// Pin JSON so the scripted init exchange is the whole negotiation.
-			wk, err := Connect(tr, WorkerOptions{Codec: CodecJSON}, Config{Shard: 3, Seed: 1}, &collectSink{}, onDeath)
+			wk, err := Connect(tr, WorkerOptions{}, Config{Shard: 3, Seed: 1}, &collectSink{}, onDeath)
 			if err != nil {
 				t.Fatalf("connect: %v", err)
 			}
@@ -261,15 +201,24 @@ func TestFrameCorruptionFailsShardNotProcess(t *testing.T) {
 
 // TestTCPHandshake covers the TCP transport's admission contract: a wrong
 // secret is rejected with a diagnosis, protocol garbage never reaches a
-// shard, and a correct secret yields a working worker — all against one
-// host listener that survives every rejected attempt.
+// shard, an authenticated peer that frames its init in JSON ends only its
+// own connection, and a correct secret yields a working worker — all
+// against one host listener that survives every rejected attempt.
 func TestTCPHandshake(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go ServeListener(ln, ServeConfig{Secret: "right-secret"})
+	// Buffered and sent to without blocking, so logging never stalls the
+	// host; the test reads only the first few lines.
+	logs := make(chan string, 64)
+	go ServeListener(ln, ServeConfig{Secret: "right-secret", Logf: func(format string, args ...any) {
+		select {
+		case logs <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}})
 	addr := ln.Addr().String()
 
 	if _, err := (&TCPTransport{Addr: addr, Secret: "wrong-secret", DialTimeout: 5 * time.Second}).Dial(0, nil); err == nil {
@@ -289,6 +238,44 @@ func TestTCPHandshake(t *testing.T) {
 		t.Fatal("host answered protocol garbage")
 	}
 	nc.Close()
+
+	// An authenticated peer whose init is JSON-framed: the host cannot
+	// decode it, so that connection's shard fails and the connection
+	// closes without an answer.
+	jc, err := (&TCPTransport{Addr: addr, Secret: "right-secret", DialTimeout: 5 * time.Second}).Dial(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := jsonCodec{}.AppendRequest(nil, &request{ID: 1, Op: opInit, Init: &initConfig{Seed: 1, DefTestb: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writePayload(jc, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := jc.(*tcpConn).nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := jc.Read(make([]byte, 1)); err == nil || n != 0 {
+		t.Fatalf("host answered a JSON-framed init (read %d bytes, %v)", n, err)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("host kept a JSON-framed connection open")
+	}
+	jc.Close()
+	var failure string
+	for failure == "" {
+		select {
+		case line := <-logs:
+			if strings.Contains(line, "shard failed") {
+				failure = line
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("host logged no shard failure for the JSON-framed init")
+		}
+	}
+	if !strings.Contains(failure, "decoding frame") {
+		t.Fatalf("JSON-framed init failed undiagnosed: %s", failure)
+	}
 
 	// The listener is still healthy: a correct secret gets a live shard.
 	tr := &TCPTransport{Addr: addr, Secret: "right-secret", DialTimeout: 5 * time.Second}

@@ -10,8 +10,8 @@ import (
 )
 
 // session is the client half of the protocol's session layer: one
-// correlated request/response wire over a Conn, in whatever codec the init
-// exchange negotiated. It owns ID assignment and correlation, the pooled
+// correlated request/response wire over a Conn, in the binary codec from the
+// first frame. It owns ID assignment and correlation, the pooled
 // frame buffers, the dead-session state, and the once-only death
 // notification that both in-band failures (a broken write, a desync, a
 // corrupt frame) and out-of-band ones (the process transport's watcher)
@@ -22,7 +22,7 @@ type session struct {
 	shard    int
 	conn     Conn
 	in       *bufio.Reader
-	cod      codec
+	cod      *binaryCodec
 	maxFrame int
 
 	// mu serializes the wire (encode, write, read, decode). It is never
@@ -42,7 +42,7 @@ type session struct {
 func newSession(shard, maxFrame int, onDeath func(error)) *session {
 	return &session{
 		shard:    shard,
-		cod:      jsonCodec{},
+		cod:      newBinaryCodec(),
 		maxFrame: frameLimit(maxFrame),
 		onDeath:  onDeath,
 		wbuf:     make([]byte, 0, 4096),
@@ -139,12 +139,4 @@ func (s *session) deadErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dead
-}
-
-// use switches the session's codec — once, between the init exchange and
-// the first regular call, on the name the worker echoed.
-func (s *session) use(c codec) {
-	s.mu.Lock()
-	s.cod = c
-	s.mu.Unlock()
 }

@@ -19,8 +19,8 @@ import (
 //   - Transport (transport.go): a byte stream to the worker — child-process
 //     stdio pipes, or TCP with a shared-secret handshake.
 //   - Frames (this file): 4-byte big-endian payload length + one payload.
-//   - Codec (codec.go): the payload encoding — field-named JSON or the
-//     compact binary form — negotiated at init, JSON until then.
+//   - Codec (codec_binary.go): the payload encoding — one compact binary
+//     form, spoken from the first frame (init included) by both sides.
 //   - Session (session.go): request/response correlation, ordered event
 //     replay, crash detection.
 //
@@ -33,9 +33,9 @@ import (
 // DefaultMaxFrame bounds a single frame when the transport does not set its
 // own limit. Sizing: the largest legitimate frames are an enact request
 // carrying a workload descriptor (a 2048-task workload is ~1 MB — workloads
-// ride as JSON blobs in both codecs) and a Step response whose events carry
-// a full wire batch of trace records (a 512-event batch is well under
-// 100 KB in either codec). 256 MiB leaves two-plus orders of magnitude of
+// ride as JSON blobs inside the binary codec) and a Step response whose
+// events carry a full wire batch of trace records (a 512-event batch is well
+// under 100 KB). 256 MiB leaves two-plus orders of magnitude of
 // headroom over both while still catching a corrupt or hostile length
 // prefix before it turns into a multi-gigabyte allocation.
 const DefaultMaxFrame = 256 << 20
@@ -146,11 +146,6 @@ type response struct {
 	Strategy *core.Strategy `json:"strategy,omitempty"`
 	Diag     string         `json:"diag,omitempty"`
 	Now      int64          `json:"now,omitempty"` // engine time after the op, ns
-
-	// Codec echoes the wire codec the worker accepted for every frame after
-	// the init exchange. Only the init response carries it; absent means the
-	// worker predates negotiation and the session stays on JSON.
-	Codec string `json:"codec,omitempty"`
 }
 
 // initConfig is Config in wire form: site.Config carries a batch.Policy
@@ -162,14 +157,6 @@ type initConfig struct {
 	Sites    []wireSite    `json:"sites,omitempty"`
 	Pilot    *pilot.Config `json:"pilot,omitempty"`
 	DefTestb bool          `json:"default_testbed"`
-
-	// Codec requests a wire codec for every frame after the init exchange
-	// (the init exchange itself is always JSON, which is what lets the two
-	// sides negotiate at all). Empty requests nothing — the session stays on
-	// JSON — and a worker that does not recognize the requested name rejects
-	// the init with a descriptive error rather than answering in a codec the
-	// client may not speak.
-	Codec string `json:"codec,omitempty"`
 }
 
 // wireSite mirrors site.Config field for field, with Policy reduced to its

@@ -55,15 +55,15 @@ func (s *bufSink) recycle(ev []wireEvent) {
 }
 
 // host is the server half of the session layer: one shard worker serving
-// strictly-alternating request/response frames over a byte stream, in
-// whatever codec the init exchange negotiated. It hosts a Local backend
+// strictly-alternating request/response frames over a byte stream, in the
+// binary codec from the first frame. It hosts a Local backend
 // built from the init frame and executes operations strictly in arrival
 // order (the engine is single-threaded by design; serialization is the
 // parent's job).
 type host struct {
 	in       *bufio.Reader
 	out      io.Writer
-	cod      codec
+	cod      *binaryCodec
 	maxFrame int
 	sink     bufSink
 	local    *Local
@@ -96,7 +96,7 @@ func serveStream(r io.Reader, w io.Writer, maxFrame int, sever func()) error {
 	h := &host{
 		in:       bufio.NewReaderSize(r, 1<<16),
 		out:      w,
-		cod:      jsonCodec{},
+		cod:      newBinaryCodec(),
 		maxFrame: frameLimit(maxFrame),
 		wbuf:     make([]byte, 0, 4096),
 		sever:    sever,
@@ -118,11 +118,10 @@ func (h *host) run() error {
 			return err
 		}
 		resp := response{ID: req.ID}
-		next := h.cod
 		closing := false
 		switch req.Op {
 		case opInit:
-			next = h.handleInit(&req, &resp)
+			h.handleInit(&req, &resp)
 		case opClose:
 			closing = true
 		case opPing:
@@ -143,54 +142,36 @@ func (h *host) run() error {
 		if err != nil {
 			return err
 		}
-		// A negotiated codec switch applies to the frames after the init
-		// response — the response itself goes out in the codec the request
-		// arrived in, or the client could not read the verdict.
-		h.cod = next
 		if closing {
 			return nil
 		}
 	}
 }
 
-// handleInit builds the shard stack and negotiates the codec, returning the
-// codec for every frame after this response. An unknown codec name is
-// rejected descriptively before any stack is built: answering in a codec
-// the client may not speak would strand it.
-func (h *host) handleInit(req *request, resp *response) codec {
+// handleInit builds the shard stack, at most once. An init with a missing
+// or unbuildable config is refused and leaves the host uninitialized and
+// serving, so the client can retry with a corrected one.
+func (h *host) handleInit(req *request, resp *response) {
 	if h.local != nil {
 		resp.Err = "backend: worker already initialized"
-		return h.cod
+		return
 	}
 	if req.Init == nil {
 		resp.Err = "backend: init frame without a config"
-		return h.cod
-	}
-	switch req.Init.Codec {
-	case "", CodecJSON:
-		resp.Codec = CodecJSON
-	case CodecBinary:
-		resp.Codec = CodecBinary
-	default:
-		resp.Err = fmt.Sprintf("backend: worker does not support wire codec %q (supports %q, %q)", req.Init.Codec, CodecJSON, CodecBinary)
-		return h.cod
+		return
 	}
 	cfg, err := wireToConfig(req.Init)
 	if err != nil {
-		resp.Err, resp.Codec = err.Error(), ""
-		return h.cod
+		resp.Err = err.Error()
+		return
 	}
 	if h.local, err = NewLocal(cfg, &h.sink); err != nil {
-		resp.Err, resp.Codec = err.Error(), ""
-		return h.cod
+		resp.Err = err.Error()
+		return
 	}
 	if h.sever != nil {
 		h.local.SetSever(h.sever)
 	}
-	if resp.Codec == CodecBinary {
-		return newBinaryCodec()
-	}
-	return h.cod
 }
 
 // handleOp executes one post-init operation against the shard stack.

@@ -8,12 +8,12 @@ import (
 	"aimes/internal/sim"
 )
 
-// WireRecord is Record in the compact array encoding used on the
-// worker-backend wire: [time_ns, entity, state, detail], with the detail
-// element omitted when empty. Trace records dominate the byte volume of the
-// worker protocol — every pilot and unit transition crosses the pipe — so
-// the stream drops the per-record field names of the struct encoding while
-// staying plain JSON (debuggable with a pipe tee, no schema registry).
+// WireRecord is Record in its worker-wire forms. Trace records dominate the
+// byte volume of the worker protocol — every pilot and unit transition
+// crosses the pipe — so neither form carries per-record field names: the
+// wire itself uses the binary form (AppendWire/DecodeWire), and the JSON
+// form is the compact array [time_ns, entity, state, detail], with the
+// detail element omitted when empty.
 type WireRecord Record
 
 // MarshalJSON encodes the record as [time_ns, entity, state] or
