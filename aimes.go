@@ -239,9 +239,9 @@ type Environment struct {
 	kind     BackendKind
 
 	// model is the analytical cost-model twin (internal/model): per-shard
-	// EWMA fits of drain rate, queue wait and event demand, refitted on
-	// every completion and consulted by predictive placement, the migration
-	// benefit gate, and admission-window sizing. Always non-nil.
+	// EWMA fits of drain rate and queue wait, refitted on every completion
+	// and consulted by predictive placement; the enact-time prediction and
+	// Loads' gauges only observe it. Always non-nil.
 	model *model.CostModel
 
 	// pool is the worker fleet manager (nil on the local backend): it owns
@@ -345,10 +345,6 @@ type shardEnv struct {
 	// construction, read without synchronization.
 	batch int
 
-	// Adaptive admission window telemetry (see Environment.windowFor).
-	lastWindow atomic.Int32
-	peakWindow atomic.Int32
-
 	// Load signals read lock-free by placement and stealing decisions.
 	// pendingCost is the expected work submitted and not yet finished;
 	// doneCost/busyNanos feed the observed-throughput weighting: cost
@@ -356,18 +352,7 @@ type shardEnv struct {
 	// events. Costs are in milli-core-seconds (Workload.CoreSeconds × 1000).
 	pendingCost atomic.Int64
 	doneCost    atomic.Int64
-	doneJobs    atomic.Int64
 	busyNanos   atomic.Int64
-	eventsFired atomic.Int64
-
-	// lastDoneEvents/lastDoneJobs are eventsFired and doneJobs at the last
-	// completion that saw the event counter move — the subtrahends for the
-	// per-job event-demand observation fed to the cost model (events fire
-	// in batches, so one delta can cover several completions). Guarded by
-	// the shard's engine serialization (every completion path runs under
-	// it), so they need no atomics.
-	lastDoneEvents int64
-	lastDoneJobs   int64
 }
 
 // sync runs fn serialized with the shard backend's callbacks: under the
@@ -478,12 +463,11 @@ func WithShards(n int) Option {
 
 // WithWorkStealing enables cross-shard work stealing, so a skewed tenant mix
 // still saturates the hardware: Submit keeps a bounded number of jobs
-// enacted per shard (the admission window, sized adaptively from the
-// shard's observed drain rate and queue depth — see StealStats.Windows) and
-// queues the rest un-enacted. A queued job is a pure descriptor — no
-// pilots, no events, no randomness drawn — so it can be handed off to a
-// less-loaded shard with a migration-safe handoff: the destination assigns
-// a fresh namespace and derives the strategy from its own seeded
+// enacted per shard (the admission window, a constant 4) and queues the
+// rest un-enacted. A queued job is a pure descriptor — no pilots, no
+// events, no randomness drawn — so it can be handed off to the shard with
+// the least pending work through a migration-safe handoff: the destination
+// assigns a fresh namespace and derives the strategy from its own seeded
 // randomness, recording an "em" MIGRATED trace event. Waiters of queued
 // migratable jobs migrate them, completing waiters rebalance one queued job
 // on their way out, and waiters finding their shard's lock contended
@@ -496,9 +480,7 @@ func WithShards(n int) Option {
 // default; pinned jobs never migrate unless JobConfig.Migrate is
 // MigrateAllow, and a pinned non-migratable submission permanently seals its
 // shard against incoming migrants, preserving the per-shard determinism
-// contract for that tenant (see the Migrate policy for the caveats). Sealed
-// shards also keep the constant minimum admission window, so the tenant's
-// trajectory never depends on wall-clock drain measurements.
+// contract for that tenant (see the Migrate policy for the caveats).
 //
 // Work stealing requires the virtual-time engine (combining it with
 // WithRealTime is rejected) and only has effect with at least two shards.
@@ -712,7 +694,7 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		steal:     o.steal && n > 1, // a single shard has no peers to steal from
 		agg:       trace.NewRecorder(),
 	}
-	env.model = model.New(model.Config{Shards: n, Backend: string(o.kind)})
+	env.model = model.New(n)
 	env.picker.SetModel(&placementModel{env})
 	if o.kind == BackendWorker {
 		pool, err := backend.NewPool(pcfg)
@@ -760,8 +742,6 @@ func (e *Environment) newShard(k int, o *envOptions) (*shardEnv, error) {
 		rec:  trace.NewRecorder(),
 		jobs: make(map[int]*Job),
 	}
-	sh.lastWindow.Store(admitWindow)
-	sh.peakWindow.Store(admitWindow)
 	cfg := backend.Config{
 		Shard:    k,
 		Seed:     shard.Seed(o.seed, k),
@@ -1005,7 +985,7 @@ type ShardLoad struct {
 	Running  int     // enacted, unfinished jobs
 	Queued   int     // submitted jobs awaiting admission (work stealing only)
 	Load     float64 // weighted effective load: estimated seconds to drain
-	Window   int     // current admission window (0 without work stealing)
+	Window   int     // admission window: the constant 4 with work stealing, 0 without
 	Restarts int     // worker respawns for this shard (0 on the local backend)
 
 	// PredictedCost is the cost model's predicted completion (virtual
@@ -1014,9 +994,10 @@ type ShardLoad struct {
 	// drain + service time. The signal predictive placement ranks, made
 	// comparable across shards.
 	PredictedCost float64
-	// ModelError is the shard's EWMA of relative prediction error
-	// (|predicted − observed| / observed per completed job); 0 until the
-	// shard has scored a prediction.
+	// ModelError is the shard's EWMA of the cost model's relative
+	// prediction error (|predicted − observed| / observed per completed
+	// job); 0 until the shard has scored a prediction. A monitoring gauge:
+	// only PlacePredictive acts on the model's predictions.
 	ModelError float64
 }
 
@@ -1036,7 +1017,7 @@ func (e *Environment) Loads() []ShardLoad {
 	e.jobMu.Unlock()
 	for k, sh := range e.shards {
 		if e.steal {
-			out[k].Window = int(sh.lastWindow.Load())
+			out[k].Window = admitWindow
 		}
 		out[k].Restarts = int(sh.restarts.Load())
 		out[k].PredictedCost = e.model.Predict(k, e.model.TypicalCost(k),
@@ -1242,53 +1223,22 @@ func (e *Environment) shardDied(sh *shardEnv, cause error) {
 	})
 }
 
-// admitWindow is the minimum admission window: how many jobs a shard keeps
-// enacted at once when work stealing is on, before the adaptive sizing has
-// any history. Everything beyond the window queues un-enacted and stays
-// migratable. Small enough that a skewed burst leaves most of its jobs
-// stealable, large enough that a shard always has concurrent tenants to
-// interleave. Sealed shards pin their window here permanently.
+// admitWindow is the admission window: how many jobs a shard keeps enacted
+// at once when work stealing is on. Everything beyond the window queues
+// un-enacted and stays migratable. Small enough that a skewed burst leaves
+// most of its jobs stealable, large enough that a shard always has
+// concurrent tenants to interleave. The window is the same on every shard
+// and backend and reads no measurement, so admission never perturbs the
+// per-shard determinism contract.
 const admitWindow = 4
 
-// maxAdmitWindow caps the adaptive window, bounding how much work admission
-// can strand on one shard before stealing sees it.
-const maxAdmitWindow = 64
-
-// windowFor returns the shard's current admission window. Without work
-// stealing it is unbounded (enact at Submit). With stealing, the window is
-// sized by the cost model from the shard's fitted per-job event demand
-// (model.CostModel.Window): keep roughly two pump batches' worth of
-// drainable jobs enacted. Heavy tenants burn far more than a batch of
-// events per job and stay at the minimum; a flood of tiny tenants retires
-// several jobs per batch and would trickle through a constant-size window,
-// under-filling the shard between admissions, so the window grows — capped
-// by the work actually present (running + queued) and by maxAdmitWindow.
-// Every model input is a virtual-event quantity (events fired between
-// completions), never a wall clock, so the chosen window at any engine
-// point is deterministic and the per-shard determinism contract survives
-// adaptation; sealed shards (pinned, non-migratable tenants) still pin the
-// constant minimum as an extra predictability guarantee — their window
-// never consults the model at all. Must run under the shard's
-// serialization.
-func (e *Environment) windowFor(sh *shardEnv) int {
+// window returns every shard's admission window: unbounded (enact at
+// Submit) without work stealing, admitWindow with it.
+func (e *Environment) window() int {
 	if !e.steal {
 		return int(math.MaxInt32)
 	}
-	if e.stealer.Sealed(sh.id) {
-		sh.noteWindow(admitWindow)
-		return admitWindow
-	}
-	w := e.model.Window(sh.id, sh.batch, admitWindow, maxAdmitWindow, sh.running+len(sh.queue))
-	sh.noteWindow(w)
-	return w
-}
-
-// noteWindow records the chosen admission window for StealStats.
-func (sh *shardEnv) noteWindow(w int) {
-	sh.lastWindow.Store(int32(w))
-	if int32(w) > sh.peakWindow.Load() {
-		sh.peakWindow.Store(int32(w))
-	}
+	return admitWindow
 }
 
 // StealStats counts cross-shard work-stealing activity since the
@@ -1297,23 +1247,19 @@ type StealStats struct {
 	// Migrations counts queued jobs handed off to another shard before
 	// enactment.
 	Migrations int64
-	// Vetoed counts migration candidates the cost model's benefit gate
-	// refused: a queued job had a willing destination, but the predicted
-	// gain did not cover the handoff. Distinct from rounds that found no
-	// candidate at all — a climbing Vetoed with flat Migrations means
-	// imbalance exists but moving would not pay.
+	// Vetoed counts migrations the pending-cost margin refused under the
+	// submission lock: the lock-free pre-check saw a destination with less
+	// pending work, but with reservations stable the move no longer left the
+	// destination strictly better off (a concurrent submission or migration
+	// narrowed the gap). Distinct from rounds that found no destination at
+	// all.
 	Vetoed int64
 	// ForeignPumps counts bounded event batches waiters fired on a shard
 	// other than their own job's, while their own shard's lock was held by
 	// another waiter.
 	ForeignPumps int64
-	// Windows is each shard's most recently chosen admission window — the
-	// adaptive bound on enacted-at-once jobs, sized from the shard's
-	// observed drain rate and queue depth (admitWindow floor; sealed shards
-	// stay at the floor). Nil without WithWorkStealing.
-	Windows []int
-	// PeakWindows is each shard's largest window chosen so far. Nil without
-	// WithWorkStealing.
+	// PeakWindows is each shard's largest admission window, the constant 4
+	// on every shard. Nil without WithWorkStealing.
 	PeakWindows []int
 }
 
@@ -1325,9 +1271,8 @@ func (e *Environment) StealStats() StealStats {
 		ForeignPumps: e.stealer.ForeignPumps(),
 	}
 	if e.steal {
-		for _, sh := range e.shards {
-			s.Windows = append(s.Windows, int(sh.lastWindow.Load()))
-			s.PeakWindows = append(s.PeakWindows, int(sh.peakWindow.Load()))
+		for range e.shards {
+			s.PeakWindows = append(s.PeakWindows, admitWindow)
 		}
 	}
 	return s

@@ -1,7 +1,7 @@
 // Backend-seam battery: the local-vs-worker parity matrix (the same seeded,
 // pinned multi-tenant scenario must produce identical reports on both
 // backends), worker crash containment (a killed worker fails only its own
-// shard's jobs, descriptively), the adaptive admission window, steal-aware
+// shard's jobs, descriptively), the constant admission window, steal-aware
 // staged placement with coherent wait feedback, and the ordered
 // aggregate-trace merge with live subscriptions.
 package aimes_test
@@ -406,62 +406,19 @@ func TestWorkerBackendWithStealing(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAdmissionWindow floods a stealing environment with tiny,
-// non-migratable jobs and checks that the admission window grows past the
-// constant floor (the ROADMAP's "very small jobs under-fill a shard" case),
-// that StealStats exposes the chosen windows, and that sealed shards stay
-// at the floor.
-func TestAdaptiveAdmissionWindow(t *testing.T) {
-	env, err := aimes.NewEnv(aimes.WithSeed(314), aimes.WithShards(2), aimes.WithWorkStealing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 1}
-	var jobs []*aimes.Job
-	for i := 0; i < 60; i++ {
-		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(1, aimes.ConstantSpec(1)), int64(100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := env.Submit(context.Background(), w, aimes.JobConfig{
-			StrategyConfig: cfg, Migrate: aimes.MigrateNever,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	waitAllDeadline(t, jobs, 120*time.Second)
-	stats := env.StealStats()
-	if len(stats.Windows) != 2 || len(stats.PeakWindows) != 2 {
-		t.Fatalf("window telemetry %v / %v, want one entry per shard", stats.Windows, stats.PeakWindows)
-	}
-	grew := false
-	for k, peak := range stats.PeakWindows {
-		if peak < 4 {
-			t.Fatalf("shard %d peak window %d below the floor", k, peak)
-		}
-		if peak > 4 {
-			grew = true
-		}
-	}
-	if !grew {
-		t.Fatalf("tiny-job flood never grew any admission window past the floor: %+v", stats)
-	}
-}
-
 // TestSealedShardKeepsConstantWindow pins a non-migratable tenant (sealing
-// its shard) and floods it with tiny jobs: the sealed shard must stay at
-// the constant window no matter what the drain rate says, because its
-// determinism contract forbids wall-clock-dependent admission.
+// its shard) and floods it with tiny jobs: the shard keeps at most the
+// constant window of 4 enacted and queues the rest, and the window
+// telemetry reports that constant.
 func TestSealedShardKeepsConstantWindow(t *testing.T) {
 	env, err := aimes.NewEnv(aimes.WithSeed(217), aimes.WithShards(2), aimes.WithWorkStealing())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := aimes.StrategyConfig{Binding: aimes.LateBinding, Scheduler: aimes.SchedBackfill, Pilots: 1}
+	const n = 40
 	var jobs []*aimes.Job
-	for i := 0; i < 40; i++ {
+	for i := 0; i < n; i++ {
 		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(1, aimes.ConstantSpec(1)), int64(500+i))
 		if err != nil {
 			t.Fatal(err)
@@ -475,9 +432,13 @@ func TestSealedShardKeepsConstantWindow(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
+	l := env.Loads()[0]
+	if l.Window != 4 || l.Running != 4 || l.Queued != n-4 {
+		t.Fatalf("sealed shard 0 after %d submissions: window %d, running %d, queued %d; want 4, 4, %d",
+			n, l.Window, l.Running, l.Queued, n-4)
+	}
 	waitAllDeadline(t, jobs, 120*time.Second)
-	stats := env.StealStats()
-	if got := stats.PeakWindows[0]; got != 4 {
+	if got := env.StealStats().PeakWindows[0]; got != 4 {
 		t.Fatalf("sealed shard 0 peak window %d, want the constant 4", got)
 	}
 }

@@ -7,14 +7,14 @@ import (
 )
 
 func TestColdShardIsRankable(t *testing.T) {
-	m := New(Config{Shards: 3, Backend: BackendLocal})
+	m := New(3)
 	// Warm shards 0 and 1 with completions; shard 2 stays cold.
 	for i := 0; i < 20; i++ {
 		m.Observe(Observation{Shard: 0, Cost: 900, Wait: 1800, TTC: 2700})
 		m.Observe(Observation{Shard: 1, Cost: 900, Wait: 1800, TTC: 2700})
 	}
-	if m.Observations(2) != 0 {
-		t.Fatalf("shard 2 should be cold, has %d observations", m.Observations(2))
+	if n := m.Snapshot()[2].Observations; n != 0 {
+		t.Fatalf("shard 2 should be cold, has %d observations", n)
 	}
 	// The cold shard must still produce a finite, comparable prediction.
 	p := m.Predict(2, 900, 0)
@@ -31,7 +31,7 @@ func TestColdShardIsRankable(t *testing.T) {
 func TestUniformFitsRankLikeLeastLoaded(t *testing.T) {
 	// With every shard at the same fit, predicted completion must order
 	// shards exactly by pending cost: least-loaded is the degenerate case.
-	m := New(Config{Shards: 4, Backend: BackendLocal})
+	m := New(4)
 	pendings := []float64{4000, 1000, 3000, 2000}
 	best, bestTotal := -1, math.Inf(1)
 	for k, pend := range pendings {
@@ -44,51 +44,11 @@ func TestUniformFitsRankLikeLeastLoaded(t *testing.T) {
 	}
 }
 
-func TestMigrationGateDegeneratesToPendingRule(t *testing.T) {
-	m := New(Config{Shards: 2, Backend: BackendLocal})
-	cases := []struct {
-		origin, dest, cost float64
-		want               bool
-	}{
-		// dest + cost <= origin - cost: migrate.
-		{10000, 1000, 900, true},
-		{10000, 8200, 900, true}, // 8200+900 = 9100 == 10000-900: boundary migrates
-		{10000, 8300, 900, false},
-		{2000, 1900, 900, false}, // near-balanced: moving would just ping-pong
-		{1800, 0, 900, true},     // empty dest: exactly at the boundary (0+900 == 1800-900)
-	}
-	for i, c := range cases {
-		if got := m.ShouldMigrate(0, 1, c.cost, c.origin, c.dest); got != c.want {
-			t.Errorf("case %d: ShouldMigrate(origin=%.0f dest=%.0f cost=%.0f) = %v, want %v",
-				i, c.origin, c.dest, c.cost, got, c.want)
-		}
-	}
-}
-
-func TestMigrationGateFavorsFasterShard(t *testing.T) {
-	m := New(Config{Shards: 2, Backend: BackendLocal})
-	// Teach the model that shard 1 drains 4x faster than shard 0.
-	for i := 0; i < 50; i++ {
-		m.Observe(Observation{Shard: 0, Cost: 900, Wait: 0, TTC: 900})  // rate 1
-		m.Observe(Observation{Shard: 1, Cost: 3600, Wait: 0, TTC: 900}) // rate 4
-	}
-	// Equal pendings would never migrate under the pending rule, but the
-	// fast shard clears the backlog (and the job) so much sooner that the
-	// model approves the move.
-	if !m.ShouldMigrate(0, 1, 900, 4000, 4000) {
-		t.Fatal("model should migrate toward a 4x-faster shard at equal pending cost")
-	}
-	// And never in the other direction.
-	if m.ShouldMigrate(1, 0, 900, 4000, 4000) {
-		t.Fatal("model migrated toward the slower shard")
-	}
-}
-
 func TestHeavyTailedFitConverges(t *testing.T) {
 	// Adversarial input: Pareto-like costs spanning four orders of
 	// magnitude at a fixed true drain rate. The fitted rate must stay
 	// finite, positive, and within a small factor of the truth.
-	m := New(Config{Shards: 1, Backend: BackendLocal})
+	m := New(1)
 	rng := rand.New(rand.NewSource(7))
 	const trueRate = 2.5
 	for i := 0; i < 5000; i++ {
@@ -111,7 +71,7 @@ func TestHeavyTailedFitConverges(t *testing.T) {
 }
 
 func TestObserveIgnoresGarbage(t *testing.T) {
-	m := New(Config{Shards: 1, Backend: BackendLocal})
+	m := New(1)
 	before := m.Snapshot()[0]
 	m.Observe(Observation{Shard: -1, Cost: 900, TTC: 900})
 	m.Observe(Observation{Shard: 5, Cost: 900, TTC: 900})
@@ -133,32 +93,8 @@ func TestObserveIgnoresGarbage(t *testing.T) {
 	}
 }
 
-func TestWindowTracksEventDemand(t *testing.T) {
-	m := New(Config{Shards: 1, Backend: BackendLocal})
-	const batch, floor, max = 64, 4, 64
-	// Cold: seed events-per-job >= batch, window pinned at the floor.
-	if w := m.Window(0, batch, floor, max, 100); w != floor {
-		t.Fatalf("cold window = %d, want floor %d", w, floor)
-	}
-	// A flood of tiny jobs (few events each) must open the window.
-	for i := 0; i < 60; i++ {
-		m.Observe(Observation{Shard: 0, Cost: 1, Wait: 0, TTC: 1, Events: 8})
-	}
-	w := m.Window(0, batch, floor, max, 100)
-	if w <= floor {
-		t.Fatalf("tiny-job window stuck at %d, want > floor %d", w, floor)
-	}
-	if w > max {
-		t.Fatalf("window %d exceeds cap %d", w, max)
-	}
-	// Never wider than the work available.
-	if got := m.Window(0, batch, floor, max, 6); got > 6 && got != floor {
-		t.Fatalf("window %d wider than present jobs 6", got)
-	}
-}
-
 func TestRelErrorTracksPredictions(t *testing.T) {
-	m := New(Config{Shards: 1, Backend: BackendLocal})
+	m := New(1)
 	if m.RelError(0) != 0 {
 		t.Fatalf("cold relErr = %v, want 0", m.RelError(0))
 	}

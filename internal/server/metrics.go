@@ -163,7 +163,7 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%d", l.Queued) })
 	shardGauge("aimes_shard_effective_load_seconds", "Weighted effective load per shard (estimated seconds to drain).",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.Load) })
-	shardGauge("aimes_shard_admission_window", "Current adaptive admission window per shard (0 without work stealing).",
+	shardGauge("aimes_shard_admission_window", "Admission window per shard: the constant 4 with work stealing, 0 without.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%d", l.Window) })
 	shardGauge("aimes_model_predicted_cost", "Cost model's predicted completion (virtual seconds) of one more typical job per shard.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.PredictedCost) })
@@ -172,7 +172,7 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 
 	steal := env.StealStats()
 	fmt.Fprintf(w, "# HELP aimes_steal_migrations_total Queued jobs migrated across shards by work stealing.\n# TYPE aimes_steal_migrations_total counter\naimes_steal_migrations_total %d\n", steal.Migrations)
-	fmt.Fprintf(w, "# HELP aimes_steal_vetoed_total Migration candidates the cost model's benefit gate refused.\n# TYPE aimes_steal_vetoed_total counter\naimes_steal_vetoed_total %d\n", steal.Vetoed)
+	fmt.Fprintf(w, "# HELP aimes_steal_vetoed_total Migrations the pending-cost margin refused under the submission lock.\n# TYPE aimes_steal_vetoed_total counter\naimes_steal_vetoed_total %d\n", steal.Vetoed)
 	fmt.Fprintf(w, "# HELP aimes_steal_foreign_pumps_total Pump batches run on behalf of other shards' jobs.\n# TYPE aimes_steal_foreign_pumps_total counter\naimes_steal_foreign_pumps_total %d\n", steal.ForeignPumps)
 
 	fleet := env.Fleet()

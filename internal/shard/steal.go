@@ -76,14 +76,14 @@ func (s *Stealer) CountMigration() { s.migrations.Add(1) }
 // Migrations reports how many queued jobs were handed off between shards.
 func (s *Stealer) Migrations() int64 { return s.migrations.Load() }
 
-// CountVeto records one migration candidate the cost model's benefit gate
-// refused: a queued job with a willing destination where the predicted gain
-// did not cover the handoff. Distinct from rounds that simply found no
-// candidate — a climbing veto count means imbalance exists but moving would
-// not pay.
+// CountVeto records one migration the pending-cost margin refused under the
+// submission lock: the lock-free pre-check saw a worthwhile destination, but
+// by the time the decision was taken with reservations stable, the move no
+// longer passed ShouldMigrate (a concurrent submission or migration had
+// narrowed the gap). Distinct from rounds that found no destination at all.
 func (s *Stealer) CountVeto() { s.vetoed.Add(1) }
 
-// Vetoes reports how many migration candidates the benefit gate refused.
+// Vetoes reports how many migrations the locked margin check refused.
 func (s *Stealer) Vetoes() int64 { return s.vetoed.Load() }
 
 // CountForeignPump records one bounded event batch a waiter fired on a shard
@@ -104,4 +104,30 @@ func ShouldMigrate(originLoad, destLoad, cost float64) bool {
 		cost = 1
 	}
 	return destLoad+cost <= originLoad-cost
+}
+
+// Destination picks where a queued job of the given cost should move from
+// origin: the shard, other than origin and not sealed, with the least
+// pending cost (ties go to the lowest index), or -1 when no shard qualifies.
+// ok reports whether the move passes ShouldMigrate against that shard —
+// the least-pending shard is the only one worth testing, because the margin
+// only loosens as the destination's load falls. pending reports a shard's
+// pending cost in the same unit as cost. The environment runs the same pick
+// twice: as a lock-free pre-check, and again under the submission lock where
+// reservations are stable.
+func (s *Stealer) Destination(origin int, cost float64, pending func(k int) float64) (dest int, ok bool) {
+	dest = -1
+	var least float64
+	for k := range s.sealed {
+		if k == origin || s.Sealed(k) {
+			continue
+		}
+		if p := pending(k); dest < 0 || p < least {
+			dest, least = k, p
+		}
+	}
+	if dest < 0 {
+		return -1, false
+	}
+	return dest, ShouldMigrate(pending(origin), least, cost)
 }

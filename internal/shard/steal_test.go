@@ -80,6 +80,38 @@ func TestShouldMigrateMargin(t *testing.T) {
 	}
 }
 
+func TestStealerDestination(t *testing.T) {
+	cases := []struct {
+		name    string
+		pending []float64
+		sealed  []int
+		origin  int
+		cost    float64
+		dest    int
+		ok      bool
+	}{
+		{name: "least pending wins", pending: []float64{10, 5, 2, 7}, origin: 0, cost: 1, dest: 2, ok: true},
+		{name: "origin skipped", pending: []float64{10, 5, 2, 7}, origin: 2, cost: 1, dest: 1, ok: false},
+		{name: "sealed skipped", pending: []float64{10, 5, 2, 7}, sealed: []int{2}, origin: 0, cost: 1, dest: 1, ok: true},
+		{name: "tie goes to lowest index", pending: []float64{10, 3, 3, 3}, origin: 0, cost: 1, dest: 1, ok: true},
+		{name: "at the margin", pending: []float64{4, 0}, origin: 0, cost: 2, dest: 1, ok: true},
+		{name: "within one job of balance", pending: []float64{3, 0}, origin: 0, cost: 2, dest: 1, ok: false},
+		{name: "every other shard sealed", pending: []float64{10, 0, 0}, sealed: []int{1, 2}, origin: 0, cost: 1, dest: -1, ok: false},
+		{name: "single shard", pending: []float64{10}, origin: 0, cost: 1, dest: -1, ok: false},
+		{name: "sealed origin may still send", pending: []float64{10, 0}, sealed: []int{0}, origin: 0, cost: 1, dest: 1, ok: true},
+	}
+	for _, c := range cases {
+		s := NewStealer(len(c.pending))
+		for _, k := range c.sealed {
+			s.Seal(k)
+		}
+		dest, ok := s.Destination(c.origin, c.cost, func(k int) float64 { return c.pending[k] })
+		if dest != c.dest || ok != c.ok {
+			t.Errorf("%s: Destination = (%d, %v), want (%d, %v)", c.name, dest, ok, c.dest, c.ok)
+		}
+	}
+}
+
 func TestNewStealerPanicsOnZeroShards(t *testing.T) {
 	defer func() {
 		if recover() == nil {

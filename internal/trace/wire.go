@@ -2,57 +2,16 @@ package trace
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"aimes/internal/sim"
 )
 
-// WireRecord is Record in its worker-wire forms. Trace records dominate the
+// WireRecord is Record in its worker-wire form. Trace records dominate the
 // byte volume of the worker protocol — every pilot and unit transition
-// crosses the pipe — so neither form carries per-record field names: the
-// wire itself uses the binary form (AppendWire/DecodeWire), and the JSON
-// form is the compact array [time_ns, entity, state, detail], with the
-// detail element omitted when empty.
+// crosses the pipe — so the binary form (AppendWire/DecodeWire) carries no
+// per-record field names. Its JSON encoding is Record's.
 type WireRecord Record
-
-// MarshalJSON encodes the record as [time_ns, entity, state] or
-// [time_ns, entity, state, detail].
-func (r WireRecord) MarshalJSON() ([]byte, error) {
-	if r.Detail == "" {
-		return json.Marshal([3]any{int64(r.Time), r.Entity, r.State})
-	}
-	return json.Marshal([4]any{int64(r.Time), r.Entity, r.State, r.Detail})
-}
-
-// UnmarshalJSON decodes either array form.
-func (r *WireRecord) UnmarshalJSON(data []byte) error {
-	var parts []json.RawMessage
-	if err := json.Unmarshal(data, &parts); err != nil {
-		return fmt.Errorf("trace: wire record: %w", err)
-	}
-	if len(parts) < 3 || len(parts) > 4 {
-		return fmt.Errorf("trace: wire record has %d elements, want 3 or 4", len(parts))
-	}
-	var ns int64
-	if err := json.Unmarshal(parts[0], &ns); err != nil {
-		return fmt.Errorf("trace: wire record time: %w", err)
-	}
-	r.Time = sim.Time(ns)
-	if err := json.Unmarshal(parts[1], &r.Entity); err != nil {
-		return fmt.Errorf("trace: wire record entity: %w", err)
-	}
-	if err := json.Unmarshal(parts[2], &r.State); err != nil {
-		return fmt.Errorf("trace: wire record state: %w", err)
-	}
-	r.Detail = ""
-	if len(parts) == 4 {
-		if err := json.Unmarshal(parts[3], &r.Detail); err != nil {
-			return fmt.Errorf("trace: wire record detail: %w", err)
-		}
-	}
-	return nil
-}
 
 // Record converts back to the canonical struct form.
 func (r WireRecord) Record() Record { return Record(r) }

@@ -317,7 +317,7 @@ func (e *Environment) Submit(ctx context.Context, w *Workload, cfg JobConfig) (*
 			e.stealer.Seal(sh.id)
 		}
 		sh.jobs[j.id] = j
-		if e.steal && (sh.running >= e.windowFor(sh) || len(sh.queue) > 0 || e.respawnPending(sh)) {
+		if e.steal && (sh.running >= e.window() || len(sh.queue) > 0 || e.respawnPending(sh)) {
 			sh.queue = append(sh.queue, j)
 			j.state.Store(int32(JobQueued))
 			if j.migratable {
@@ -453,7 +453,7 @@ func (e *Environment) admitNextLocked(sh *shardEnv) {
 		return
 	}
 	sh.admitting = true
-	for sh.running < e.windowFor(sh) && len(sh.queue) > 0 {
+	for sh.running < e.window() && len(sh.queue) > 0 {
 		j := sh.queue[0]
 		sh.queue[0] = nil
 		sh.queue = sh.queue[1:]
@@ -479,31 +479,25 @@ func (sh *shardEnv) removeQueued(j *Job) bool {
 	return false
 }
 
-// migrationCandidate is the lock-free pre-check for self-migration: is
-// there any open shard where the cost model predicts enough benefit to pay
-// for the handoff? Waiters of queued jobs poll it every pump iteration, so
-// it must not take the submission lock on a balanced system — the model's
-// fits and the pending counters are all atomic reads.
-func (e *Environment) migrationCandidate(origin *shardEnv, cost int64) bool {
-	o := float64(origin.pendingCost.Load()) / 1000
-	c := float64(cost) / 1000
-	for k, sh := range e.shards {
-		if sh == origin || e.stealer.Sealed(k) {
-			continue
-		}
-		if e.model.ShouldMigrate(origin.id, k, c, o, float64(sh.pendingCost.Load())/1000) {
-			return true
-		}
-	}
-	return false
+// migrationDest picks the destination for a queued job leaving origin: the
+// open shard with the least pending cost, and whether the pending-cost
+// margin (shard.ShouldMigrate) admits the move. Every input is an atomic
+// read, so waiters of queued jobs can poll it lock-free every pump
+// iteration; migrateJob repeats it under the submission lock, where
+// reservations are stable.
+func (e *Environment) migrationDest(origin *shardEnv, cost int64) (int, bool) {
+	return e.stealer.Destination(origin.id, float64(cost), func(k int) float64 {
+		return float64(e.shards[k].pendingCost.Load())
+	})
 }
 
-// migrateJob attempts the migration-safe handoff of a still-queued job to a
-// less loaded shard. The handoff is lock-ordered and two-phase: the job is
-// popped from its origin's queue under the origin's engine lock, then landed
-// on the destination under the destination's — no two shard locks are ever
-// held together, and the destination's load is reserved under the submission
-// lock so concurrent decisions see each other. The destination's backend
+// migrateJob attempts the migration-safe handoff of a still-queued job to the
+// open shard with the least pending cost (see migrationDest). The handoff is
+// lock-ordered and two-phase: the job is popped from its origin's queue
+// under the origin's engine lock, then landed on the destination under the
+// destination's — no two shard locks are ever held together, and the
+// destination's load is reserved under the submission lock so concurrent
+// decisions see each other. The destination's backend
 // re-derives namespace and randomness when it enacts (see enactLocked); the
 // job itself crosses shards as a pure descriptor, which is why the handoff
 // routes through any backend — in-process or worker — unchanged. Sealed
@@ -521,39 +515,28 @@ func (e *Environment) migrateJob(j *Job, forced bool) bool {
 		return false // one hop per job: stolen work is not re-stolen
 	}
 	origin := j.sh.Load()
-	if !forced && !e.migrationCandidate(origin, j.cost) {
-		return false
+	if !forced {
+		if _, ok := e.migrationDest(origin, j.cost); !ok {
+			return false
+		}
 	}
 
-	// Decide and reserve under the submission lock. The destination is the
-	// shard where the model predicts this job would finish soonest; the
-	// benefit gate then demands the predicted gain cover the handoff
-	// (model.CostModel.ShouldMigrate), so a candidate with a willing
-	// destination can still be vetoed — counted separately from rounds that
-	// found no destination at all.
-	c := float64(j.cost) / 1000
+	// Decide and reserve under the submission lock, repeating the
+	// pre-check's pick with reservations stable. A move the pre-check
+	// approved but the locked margin refuses is counted as a veto, apart
+	// from rounds that found no destination at all.
 	e.jobMu.Lock()
-	best, bestPred := -1, 0.0
-	for k, sh := range e.shards {
-		if k == origin.id || e.stealer.Sealed(k) {
-			continue
-		}
-		p := e.model.Predict(k, c, float64(sh.pendingCost.Load())/1000).Total
-		if best < 0 || p < bestPred {
-			best, bestPred = k, p
-		}
-	}
+	best, ok := e.migrationDest(origin, j.cost)
 	if best < 0 {
 		e.jobMu.Unlock()
 		return false
 	}
-	dest := e.shards[best]
-	if !forced && !e.model.ShouldMigrate(origin.id, dest.id, c,
-		float64(origin.pendingCost.Load())/1000, float64(dest.pendingCost.Load())/1000) {
+	if !forced && !ok {
 		e.jobMu.Unlock()
 		e.stealer.CountVeto()
 		return false
 	}
+	dest := e.shards[best]
 	dest.pendingCost.Add(j.cost) // reserve before releasing the lock
 	e.jobMu.Unlock()
 
@@ -594,7 +577,7 @@ func (e *Environment) migrateJob(j *Job, forced bool) bool {
 			j.complete(core.CanceledReport(j.w), nil)
 			return
 		}
-		if dest.running < e.windowFor(dest) && len(dest.queue) == 0 && !backendDead(dest.be) {
+		if dest.running < e.window() && len(dest.queue) == 0 && !backendDead(dest.be) {
 			if err := e.enactLocked(dest, j); err != nil {
 				j.complete(nil, err)
 			}
@@ -987,35 +970,18 @@ func (j *Job) complete(r *Report, err error) {
 		// Completed work feeds the observed-throughput side of weighted
 		// placement; canceled and failed jobs tell us nothing about rate.
 		sh.doneCost.Add(j.cost)
-		sh.doneJobs.Add(1)
 		if r != nil {
 			// Feed the analytical twin: the job's measured wait and
-			// completion refit the shard's drain rate and queue wait, and
-			// the events fired since the last completion that saw the
-			// counter move refit its per-job event demand. Events fire in
-			// batches, so the delta stays 0 for completions within one
-			// batch and then covers them all at once — EventsJobs tells
-			// the fit how many. (lastDoneEvents/lastDoneJobs are guarded
-			// by the shard serialization every completion path runs
-			// under.)
-			var delta, jobs int64
-			if fired := sh.eventsFired.Load(); fired > sh.lastDoneEvents {
-				delta = fired - sh.lastDoneEvents
-				jobs = sh.doneJobs.Load() - sh.lastDoneJobs
-				sh.lastDoneEvents = fired
-				sh.lastDoneJobs = sh.doneJobs.Load()
-			}
+			// completion refit the shard's drain rate and queue wait.
 			j.mu.Lock()
 			predicted := j.predicted
 			j.mu.Unlock()
 			j.env.model.Observe(model.Observation{
-				Shard:      sh.id,
-				Cost:       float64(j.cost) / 1000,
-				Wait:       r.Tw.Seconds(),
-				TTC:        r.TTC.Seconds(),
-				Events:     delta,
-				EventsJobs: jobs,
-				Predicted:  predicted,
+				Shard:     sh.id,
+				Cost:      float64(j.cost) / 1000,
+				Wait:      r.Tw.Seconds(),
+				TTC:       r.TTC.Seconds(),
+				Predicted: predicted,
 			})
 		}
 	}
@@ -1142,9 +1108,6 @@ func (sh *shardEnv) pump(j *Job) (stalled bool) {
 // environment gets from it).
 func (sh *shardEnv) stepBatch() (fired int, drained bool, err error) {
 	start := time.Now()
-	defer func() {
-		sh.busyNanos.Add(time.Since(start).Nanoseconds())
-		sh.eventsFired.Add(int64(fired))
-	}()
+	defer func() { sh.busyNanos.Add(time.Since(start).Nanoseconds()) }()
 	return sh.be.Step(sh.batch)
 }
