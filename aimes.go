@@ -93,7 +93,6 @@ import (
 	"aimes/internal/backend"
 	"aimes/internal/bundle"
 	"aimes/internal/core"
-	"aimes/internal/model"
 	"aimes/internal/pilot"
 	"aimes/internal/shard"
 	"aimes/internal/sim"
@@ -237,12 +236,6 @@ type Environment struct {
 	eventBuf int
 	realTime bool
 	kind     BackendKind
-
-	// model is the analytical cost-model twin (internal/model): per-shard
-	// EWMA fits of drain rate and queue wait, refitted on every completion
-	// and consulted by predictive placement; the enact-time prediction and
-	// Loads' gauges only observe it. Always non-nil.
-	model *model.CostModel
 
 	// pool is the worker fleet manager (nil on the local backend): it owns
 	// every worker session, places shards on endpoints, probes liveness,
@@ -694,8 +687,6 @@ func NewEnv(opts ...Option) (*Environment, error) {
 		steal:     o.steal && n > 1, // a single shard has no peers to steal from
 		agg:       trace.NewRecorder(),
 	}
-	env.model = model.New(n)
-	env.picker.SetModel(&placementModel{env})
 	if o.kind == BackendWorker {
 		pool, err := backend.NewPool(pcfg)
 		if err != nil {
@@ -988,16 +979,7 @@ type ShardLoad struct {
 	Window   int     // admission window: the constant 4 with work stealing, 0 without
 	Restarts int     // worker respawns for this shard (0 on the local backend)
 
-	// PredictedCost is the cost model's predicted completion (virtual
-	// seconds) of placing one more typical job — the shard's fitted mean
-	// demand — on this shard right now: fitted queue wait + current backlog
-	// drain + service time. The signal predictive placement ranks, made
-	// comparable across shards.
-	PredictedCost float64
-	// ModelError is the shard's EWMA of the cost model's relative
-	// prediction error (|predicted − observed| / observed per completed
-	// job); 0 until the shard has scored a prediction. A monitoring gauge:
-	// only PlacePredictive acts on the model's predictions.
+	// ModelError is always 0; kept for perfbench, which reads it.
 	ModelError float64
 }
 
@@ -1020,9 +1002,6 @@ func (e *Environment) Loads() []ShardLoad {
 			out[k].Window = admitWindow
 		}
 		out[k].Restarts = int(sh.restarts.Load())
-		out[k].PredictedCost = e.model.Predict(k, e.model.TypicalCost(k),
-			float64(sh.pendingCost.Load())/1000).Total
-		out[k].ModelError = e.model.RelError(k)
 		sh.sync(func() {
 			out[k].Running = sh.running
 			out[k].Queued = len(sh.queue)
@@ -1278,20 +1257,6 @@ func (e *Environment) StealStats() StealStats {
 	return s
 }
 
-// placementModel adapts the environment's cost model to the picker's
-// PlacementModel seam: predicted completion of placing a job of the given
-// demand (core-seconds) on shard k, given k's live reserved backlog. Reads
-// are lock-free (model fits and pendingCost are atomics); Pick calls it
-// under the submission lock, where pending reservations are stable.
-type placementModel struct {
-	env *Environment
-}
-
-func (p *placementModel) PredictedCompletion(k int, cost float64) float64 {
-	return p.env.model.Predict(k, cost,
-		float64(p.env.shards[k].pendingCost.Load())/1000).Total
-}
-
 // loadFunc snapshots the weighted-load signal placement and migration run
 // on: a shard's pending expected work (milli-core-seconds, reserved at pick
 // time under the submission lock) divided by its observed drain rate, i.e.
@@ -1327,34 +1292,14 @@ func (e *Environment) loadFunc() func(int) float64 {
 	}
 }
 
-// leastLoadedShard snapshots the weighted loads under the submission lock
-// and returns the least loaded shard index, preferring unsealed shards: a
-// sealed shard hosts a pinned tenant whose determinism contract must not
-// depend on load-derived placements landing there (and consuming its
-// namespace sequence and randomness). Only when every shard is sealed does
-// the overall minimum win.
+// leastLoadedShard returns the shard least-loaded placement would pick
+// right now (see Picker.Pick: sealed shards only when every shard is
+// sealed), under the submission lock.
 func (e *Environment) leastLoadedShard() int {
 	e.jobMu.Lock()
 	defer e.jobMu.Unlock()
-	load := e.loadFunc()
-	best, bestLoad := -1, 0.0
-	anyBest, anyLoad := 0, load(0)
-	for k := 0; k < len(e.shards); k++ {
-		l := load(k)
-		if l < anyLoad {
-			anyBest, anyLoad = k, l
-		}
-		if e.stealer.Sealed(k) {
-			continue
-		}
-		if best < 0 || l < bestLoad {
-			best, bestLoad = k, l
-		}
-	}
-	if best < 0 {
-		return anyBest
-	}
-	return best
+	k, _ := e.picker.Pick(PlaceLeastLoaded, 0, e.loadFunc(), e.stealer.Sealed)
+	return k
 }
 
 // Bundle exposes the environment's resource bundle for queries, monitoring

@@ -531,31 +531,6 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		})
 	}
 
-	// Placement-policy points: the same balanced workload placed by the
-	// reactive least-loaded heuristic and by the cost model's predictive
-	// ranking, at the same shard count and environment seeds. The ratio is
-	// gated by cmd/bench-check -min-predictive-ratio: model-guided placement
-	// must not cost throughput relative to the heuristic it generalizes.
-	// Like the worker points these always run — the shard count has a floor
-	// of two so single-thread runners still measure the comparison.
-	placeShards := maxprocs
-	if placeShards < 2 {
-		placeShards = 2
-	}
-	var leastLoadedPoint, predictivePoint *sweepPoint
-	b.Run(fmt.Sprintf("placement=leastloaded/shards=%d", placeShards), func(b *testing.B) {
-		p := measure(b, placeShards, func(i int) (*aimes.Environment, error) {
-			return aimes.NewEnv(aimes.WithSeed(int64(7272+i)), aimes.WithShards(placeShards))
-		}, aimes.JobConfig{StrategyConfig: cfg, Placement: aimes.PlaceLeastLoaded})
-		leastLoadedPoint = &p
-	})
-	b.Run(fmt.Sprintf("placement=predictive/shards=%d", placeShards), func(b *testing.B) {
-		p := measure(b, placeShards, func(i int) (*aimes.Environment, error) {
-			return aimes.NewEnv(aimes.WithSeed(int64(7272+i)), aimes.WithShards(placeShards))
-		}, aimes.JobConfig{StrategyConfig: cfg, Placement: aimes.PlacePredictive})
-		predictivePoint = &p
-	})
-
 	// Worker-backend point: the same balanced workload with every shard as
 	// a child OS process on the binary wire codec, gated by cmd/bench-check
 	// -min-worker-ratio against the local peak. Unlike the shard sweep it
@@ -606,16 +581,6 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		workersJPS = workersPoint.JobsPerSecond
 		workerAllocs = workersPoint.AllocsPerJob
 	}
-	leastLoadedJPS, predictiveJPS, predictiveRatio := 0.0, 0.0, 0.0
-	if leastLoadedPoint != nil {
-		leastLoadedJPS = leastLoadedPoint.JobsPerSecond
-	}
-	if predictivePoint != nil {
-		predictiveJPS = predictivePoint.JobsPerSecond
-	}
-	if leastLoadedJPS > 0 {
-		predictiveRatio = predictiveJPS / leastLoadedJPS
-	}
 	record := skewKeys(map[string]any{
 		"benchmark":            "BenchmarkConcurrentJobs",
 		"jobs":                 nJobs,
@@ -630,12 +595,6 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		"workers":                 nWorkers,
 		"workers_jobs_per_second": workersJPS,
 		"worker_allocs_per_job":   workerAllocs,
-		// Placement-policy comparison at placeShards shards (gated via
-		// bench-check -min-predictive-ratio): the cost model's predictive
-		// ranking vs the reactive least-loaded heuristic.
-		"leastloaded_jobs_per_second": leastLoadedJPS,
-		"predictive_jobs_per_second":  predictiveJPS,
-		"predictive_ratio":            predictiveRatio,
 	})
 	buf, err := json.MarshalIndent(record, "", "  ")
 	if err != nil {
@@ -658,7 +617,6 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 		"jobs_per_second":         peak.JobsPerSecond,
 		"workers_jobs_per_second": workersJPS,
 		"worker_allocs_per_job":   workerAllocs,
-		"predictive_ratio":        predictiveRatio,
 	})
 	line, err := json.Marshal(hist)
 	if err != nil {

@@ -57,12 +57,6 @@ type record struct {
 	Workers            int     `json:"workers"`
 	WorkersJPS         float64 `json:"workers_jobs_per_second"`
 	WorkerAllocsPerJob float64 `json:"worker_allocs_per_job"`
-
-	// Placement-policy comparison: cost-model-guided placement vs the
-	// reactive least-loaded heuristic at the same shard count.
-	LeastLoadedJPS  float64 `json:"leastloaded_jobs_per_second"`
-	PredictiveJPS   float64 `json:"predictive_jobs_per_second"`
-	PredictiveRatio float64 `json:"predictive_ratio"`
 }
 
 // histRecord mirrors one BENCH_history.jsonl line.
@@ -109,10 +103,10 @@ func loadHistory(path string) ([]histRecord, error) {
 		if err := json.Unmarshal(line, &h); err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		// The trajectory log is shared with cmd/model-check's fidelity
-		// records (kind=model-fidelity); those carry no throughput and
-		// would read as a total collapse in drift mode, so only
-		// throughput-bearing records participate.
+		// The committed history still holds one old kind=model-fidelity
+		// record from a since-removed cost-model check; it carries no
+		// throughput and would read as a total collapse in drift mode, so
+		// only throughput-bearing records participate.
 		if h.JobsPerSecond == 0 {
 			continue
 		}
@@ -175,7 +169,6 @@ func main() {
 	minSkew := flag.Float64("min-skew", 0.70, "minimum required skewed-load ratio: all-jobs-on-shard-0 throughput with stealing vs balanced round-robin (0 disables; skipped when the record has no skew point)")
 	minWorkerRatio := flag.Float64("min-worker-ratio", 0, "minimum required worker-backend throughput as a fraction of the local-shard peak (0 disables; skipped when the record has no worker point)")
 	maxWorkerAllocs := flag.Float64("max-worker-allocs", 0, "maximum tolerated parent-side heap allocations per job on the worker backend (0 disables)")
-	minPredictiveRatio := flag.Float64("min-predictive-ratio", 0, "minimum required predictive-placement throughput as a fraction of the least-loaded heuristic at the same shard count (0 disables; skipped when the record has no placement points)")
 	drift := flag.Int("drift", 0, "compare the newest history record against the median of up to N prior comparable records (0 disables)")
 	driftThreshold := flag.Float64("drift-threshold", 0.25, "maximum tolerated fractional drop below the history median in -drift mode")
 	update := flag.Bool("update", false, "copy the current record over the baseline and exit")
@@ -279,17 +272,6 @@ func main() {
 				cur.WorkerAllocsPerJob, *maxWorkerAllocs))
 		} else {
 			fmt.Printf("bench-check: worker backend allocs/job %.0f (ceiling %.0f) ok\n", cur.WorkerAllocsPerJob, *maxWorkerAllocs)
-		}
-	}
-	if *minPredictiveRatio > 0 {
-		if cur.PredictiveRatio == 0 {
-			fmt.Printf("bench-check: no placement-policy points recorded, predictive-ratio requirement skipped\n")
-		} else if cur.PredictiveRatio < *minPredictiveRatio {
-			failures = append(failures, fmt.Sprintf("predictive placement only %.2f of least-loaded throughput, required %.2f (%.0f vs %.0f jobs/s)",
-				cur.PredictiveRatio, *minPredictiveRatio, cur.PredictiveJPS, cur.LeastLoadedJPS))
-		} else {
-			fmt.Printf("bench-check: predictive placement %.2f of least-loaded throughput (%.0f vs %.0f jobs/s) ok\n",
-				cur.PredictiveRatio, cur.PredictiveJPS, cur.LeastLoadedJPS)
 		}
 	}
 	if *drift > 0 {

@@ -29,11 +29,6 @@ const (
 	// AssertFleet bounds a fleet statistic (restarts, replayed,
 	// endpoints_cordoned, endpoints_unhealthy) between Min and Max.
 	AssertFleet = "fleet"
-	// AssertModel bounds the cost model's prediction error over the run's
-	// completed jobs: Field selects mean_rel_error (default) or
-	// max_rel_error, Min/Max bound it. Every run records per-job
-	// predictions, so it needs no fleet section.
-	AssertModel = "model"
 	// AssertLatency bounds a percentile of per-unit latency (seconds from a
 	// unit's first trace record to its DONE record): Percentile selects
 	// e.g. 50, 95 or 99, Min/Max bound the value. EntityPrefix narrows the
@@ -43,7 +38,7 @@ const (
 
 var knownAssertKinds = map[string]bool{
 	AssertState: true, AssertReport: true, AssertTrace: true,
-	AssertThroughput: true, AssertFleet: true, AssertModel: true,
+	AssertThroughput: true, AssertFleet: true,
 	AssertLatency: true,
 }
 
@@ -79,10 +74,6 @@ type Assertion struct {
 	// bound (0 < Percentile <= 100).
 	Percentile *float64 `json:"percentile,omitempty"`
 }
-
-// modelFields is the model-assertion vocabulary ("" selects the default,
-// mean_rel_error).
-var modelFields = map[string]bool{"": true, "mean_rel_error": true, "max_rel_error": true}
 
 // reportFields is the report-field vocabulary (field name → extractor).
 // rescheduled and pilots_lost are outcome-level aggregates (they ignore
@@ -181,13 +172,6 @@ func (a Assertion) validate(s *Scenario) []error {
 		if s.Fleet == nil {
 			fail("fleet assertion requires a fleet section")
 		}
-	case AssertModel:
-		if !modelFields[a.Field] {
-			fail("unknown model field %q (known: max_rel_error, mean_rel_error)", a.Field)
-		}
-		if a.Min == nil && a.Max == nil {
-			fail("model assertion needs min and/or max")
-		}
 	case AssertLatency:
 		if a.Percentile == nil {
 			fail("latency assertion needs percentile (e.g. 50, 95, 99)")
@@ -212,9 +196,6 @@ type JobOutcome struct {
 	// Report is nil for jobs that produced none (e.g. killed with their
 	// worker).
 	Report *core.Report
-	// Predicted is the cost model's predicted completion in seconds,
-	// recorded when the job was enacted.
-	Predicted float64
 }
 
 // FleetOutcome summarizes the worker fleet after the run (zero on the
@@ -359,38 +340,6 @@ func (a Assertion) check(o *Outcome) error {
 		v := fleetFields[a.Field](o.Fleet)
 		if !inBounds(v, a.Min, a.Max) {
 			return fmt.Errorf("fleet %s: want %s, got %g", a.Field, bound(a.Min, a.Max), v)
-		}
-		return nil
-	case AssertModel:
-		var sum, worst float64
-		n := 0
-		for _, j := range o.Jobs {
-			if j.State != "done" || j.Report == nil || j.Predicted <= 0 {
-				continue
-			}
-			obs := j.Report.TTC.Seconds()
-			if obs <= 0 {
-				continue
-			}
-			rel := math.Abs(j.Predicted-obs) / obs
-			sum += rel
-			if rel > worst {
-				worst = rel
-			}
-			n++
-		}
-		if n == 0 {
-			return fmt.Errorf("model: no completed job carried a prediction")
-		}
-		field, v := a.Field, sum/float64(n)
-		if field == "" {
-			field = "mean_rel_error"
-		}
-		if field == "max_rel_error" {
-			v = worst
-		}
-		if !inBounds(v, a.Min, a.Max) {
-			return fmt.Errorf("model %s: want %s, got %.4f over %d job(s)", field, bound(a.Min, a.Max), v, n)
 		}
 		return nil
 	case AssertLatency:

@@ -150,8 +150,6 @@ func TestValidateAssertionRejects(t *testing.T) {
 		{"throughput no min", Assertion{Kind: AssertThroughput}, "min > 0"},
 		{"fleet unknown field", Assertion{Kind: AssertFleet, Field: "vibes", Min: floatp(1)}, "unknown fleet field"},
 		{"fleet no bounds", Assertion{Kind: AssertFleet, Field: "restarts"}, "min and/or max"},
-		{"model unknown field", Assertion{Kind: AssertModel, Field: "vibes", Min: floatp(1)}, "unknown model field"},
-		{"model no bounds", Assertion{Kind: AssertModel}, "min and/or max"},
 		{"latency no percentile", Assertion{Kind: AssertLatency, Min: floatp(1)}, "needs percentile"},
 		{"latency bad percentile", Assertion{Kind: AssertLatency, Percentile: floatp(101), Min: floatp(1)}, "out of range"},
 		{"latency no bounds", Assertion{Kind: AssertLatency, Percentile: floatp(95)}, "min and/or max"},
@@ -176,12 +174,12 @@ func TestValidateAssertionRejects(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "requires a fleet section") {
 		t.Fatalf("fleetless fleet assertion: %v", err)
 	}
-	// A model assertion needs no fleet: every run records per-job
-	// predictions.
-	if err := mutate(t, func(s *Scenario) {
-		s.Assertions = []Assertion{{Kind: AssertModel, Max: floatp(1)}}
-	}); err != nil {
-		t.Fatalf("fleetless model assertion rejected: %v", err)
+	// "model" is not an assertion kind: there is no cost model to bound.
+	err = mutate(t, func(s *Scenario) {
+		s.Assertions = []Assertion{{Kind: "model", Max: floatp(1)}}
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown assertion kind "model"`) {
+		t.Fatalf("model assertion: %v", err)
 	}
 }
 
@@ -231,9 +229,7 @@ func TestAssertOutcome(t *testing.T) {
 	o := &Outcome{
 		Scenario: &Scenario{Name: "synthetic"},
 		Jobs: []JobOutcome{
-			// Predicted 110 vs observed TTC 100s: rel error 0.1 — the only
-			// prediction-carrying job, so mean and max agree.
-			{State: "done", Report: &core.Report{UnitsDone: 10, Throughput: 120, TTC: 100 * time.Second}, Predicted: 110},
+			{State: "done", Report: &core.Report{UnitsDone: 10, Throughput: 120, TTC: 100 * time.Second}},
 			{State: "failed", Err: "worker died"},
 		},
 		Rescheduled: 3, PilotsLost: 1,
@@ -253,8 +249,6 @@ func TestAssertOutcome(t *testing.T) {
 		{Kind: AssertThroughput, Min: floatp(100)},
 		{Kind: AssertFleet, Field: "restarts", Min: floatp(1), Max: floatp(1)},
 		{Kind: AssertFleet, Field: "replayed", Min: floatp(2)},
-		{Kind: AssertModel, Max: floatp(0.2)},
-		{Kind: AssertModel, Field: "max_rel_error", Min: floatp(0.05), Max: floatp(0.15)},
 		{Kind: AssertLatency, Percentile: floatp(50), Max: floatp(15)},
 		{Kind: AssertLatency, Percentile: floatp(99), Min: floatp(25), Max: floatp(35)},
 	}
@@ -276,7 +270,6 @@ func TestAssertOutcome(t *testing.T) {
 		{Assertion{Kind: AssertTrace, Entity: "chaos", MaxCount: intp(0), MinCount: intp(0)}, "got 1"},
 		{Assertion{Kind: AssertThroughput, Min: floatp(200)}, "want >= 200 units/hour"},
 		{Assertion{Kind: AssertFleet, Field: "replayed", Max: floatp(1)}, "want <= 1, got 2"},
-		{Assertion{Kind: AssertModel, Max: floatp(0.01)}, "model mean_rel_error: want <= 0.01, got 0.1000 over 1 job(s)"},
 		{Assertion{Kind: AssertLatency, Percentile: floatp(99), Max: floatp(20)}, "latency p99: want <= 20 seconds, got 30.0"},
 		{Assertion{Kind: AssertLatency, Percentile: floatp(50), EntityPrefix: "unit.none.", Min: floatp(1)}, `no "unit.none." entity reached DONE`},
 	}

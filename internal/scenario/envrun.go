@@ -178,10 +178,7 @@ func RunEnv(s *Scenario, opts EnvOptions) (*Outcome, error) {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("scenario %s: job %d: %w", s.Name, i, ctx.Err())
 		}
-		jo := JobOutcome{
-			State: j.State().String(), Report: r,
-			Predicted: j.PredictedTTC().Seconds(),
-		}
+		jo := JobOutcome{State: j.State().String(), Report: r}
 		if werr != nil {
 			jo.Err = werr.Error()
 			if r == nil {

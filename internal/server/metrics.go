@@ -165,10 +165,6 @@ func (m *metrics) render(w io.Writer, env *aimes.Environment, inflight map[strin
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.Load) })
 	shardGauge("aimes_shard_admission_window", "Admission window per shard: the constant 4 with work stealing, 0 without.",
 		func(l aimes.ShardLoad) string { return fmt.Sprintf("%d", l.Window) })
-	shardGauge("aimes_model_predicted_cost", "Cost model's predicted completion (virtual seconds) of one more typical job per shard.",
-		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.PredictedCost) })
-	shardGauge("aimes_model_rel_error", "Cost model's EWMA of relative prediction error per shard.",
-		func(l aimes.ShardLoad) string { return fmt.Sprintf("%g", l.ModelError) })
 
 	steal := env.StealStats()
 	fmt.Fprintf(w, "# HELP aimes_steal_migrations_total Queued jobs migrated across shards by work stealing.\n# TYPE aimes_steal_migrations_total counter\naimes_steal_migrations_total %d\n", steal.Migrations)

@@ -22,20 +22,12 @@ const (
 	// load — pending expected core-seconds weighted by the shard's observed
 	// drain rate, not a raw in-flight task count — balancing heterogeneous
 	// tenants at the cost of placement depending on completion timing.
+	// Sealed shards are skipped unless every shard is sealed.
 	LeastLoaded
 	// Pinned places the job on an explicitly chosen shard. Tenants that need
 	// cross-job determinism pin: same seed + same per-shard submission order
 	// reproduces identical reports regardless of other shards' traffic.
 	Pinned
-	// Predictive places each job on the shard with the minimum predicted
-	// completion time from the analytical cost model (internal/model): fitted
-	// queue wait + backlog drain + the job's own service time at the shard's
-	// fitted drain rate. With every shard at the cold-start fit this ranks
-	// shards exactly like LeastLoaded; once fits diverge it prefers the shard
-	// that will actually finish the job soonest, not the one with the least
-	// backlog. Requires a PlacementModel (SetModel); falls back to
-	// LeastLoaded when none is wired.
-	Predictive
 )
 
 func (p Policy) String() string {
@@ -46,29 +38,16 @@ func (p Policy) String() string {
 		return "least-loaded"
 	case Pinned:
 		return "pinned"
-	case Predictive:
-		return "predictive"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
-// PlacementModel is the seam between the picker and the analytical cost
-// model: given a candidate shard and a job's expected demand in
-// core-seconds, it returns the predicted completion time (virtual seconds)
-// of placing the job there. Implementations must be safe for concurrent
-// lock-free reads — Pick runs under the environment's submission lock but
-// the model's fits are updated from completion paths on other goroutines.
-type PlacementModel interface {
-	PredictedCompletion(k int, cost float64) float64
 }
 
 // Picker assigns jobs to shards under a policy. It is not safe for
 // concurrent use; the environment calls Pick under its submission lock. The
 // load callback may read concurrently-updated counters (e.g. atomics).
 type Picker struct {
-	n     int
-	next  int
-	model PlacementModel
+	n    int
+	next int
 }
 
 // NewPicker returns a picker over n shards. n must be at least 1.
@@ -82,41 +61,30 @@ func NewPicker(n int) *Picker {
 // Shards reports the number of shards the picker places onto.
 func (p *Picker) Shards() int { return p.n }
 
-// SetModel wires the analytical cost model the Predictive policy consults.
-// Call it once at environment construction, before any Pick.
-func (p *Picker) SetModel(m PlacementModel) { p.model = m }
-
 // Pick returns the shard index for one submission. pinned is the requested
-// shard for Pinned; cost is the job's expected demand in core-seconds for
-// Predictive; load reports the effective load of a shard for LeastLoaded
-// (ties resolve to the lowest index). The caller fixes the load unit — the
-// environment reports pending expected core-seconds divided by the shard's
-// observed drain rate — and must make the pick-plus-reservation atomic
-// under its submission lock: a picker that reads loads which only grow
-// after the lock is released lets two concurrent submissions both land on
-// the same "least loaded" shard.
-func (p *Picker) Pick(policy Policy, pinned int, cost float64, load func(int) float64) (int, error) {
+// shard for Pinned. For LeastLoaded, load reports the effective load of a
+// shard and sealed whether a pinned tenant has closed it (Stealer.Sealed).
+// The least-loaded unsealed shard wins, because a load-derived placement
+// landing on a sealed shard would consume the pinned tenant's namespace
+// sequence and randomness; the overall minimum wins only when every shard
+// is sealed. Ties resolve to the lowest index. The caller fixes
+// the load unit — the environment reports pending expected core-seconds
+// divided by the shard's observed drain rate — and must make the
+// pick-plus-reservation atomic under its submission lock: a picker that
+// reads loads which only grow after the lock is released lets two
+// concurrent submissions both land on the same "least loaded" shard.
+func (p *Picker) Pick(policy Policy, pinned int, load func(int) float64, sealed func(int) bool) (int, error) {
 	switch policy {
 	case RoundRobin:
 		k := p.next
 		p.next = (p.next + 1) % p.n
 		return k, nil
 	case LeastLoaded:
-		best, bestLoad := 0, load(0)
-		for k := 1; k < p.n; k++ {
-			if l := load(k); l < bestLoad {
-				best, bestLoad = k, l
-			}
-		}
-		return best, nil
-	case Predictive:
-		if p.model == nil {
-			return p.Pick(LeastLoaded, pinned, cost, load)
-		}
-		best, bestPred := 0, p.model.PredictedCompletion(0, cost)
-		for k := 1; k < p.n; k++ {
-			if pr := p.model.PredictedCompletion(k, cost); pr < bestPred {
-				best, bestPred = k, pr
+		best, bestLoad, bestOpen := 0, 0.0, false
+		for k := 0; k < p.n; k++ {
+			l, open := load(k), !sealed(k)
+			if k == 0 || open && !bestOpen || open == bestOpen && l < bestLoad {
+				best, bestLoad, bestOpen = k, l, open
 			}
 		}
 		return best, nil

@@ -9,7 +9,7 @@ func TestRoundRobinCycles(t *testing.T) {
 	p := NewPicker(3)
 	want := []int{0, 1, 2, 0, 1, 2, 0}
 	for i, w := range want {
-		k, err := p.Pick(RoundRobin, 0, 0, nil)
+		k, err := p.Pick(RoundRobin, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,7 +22,7 @@ func TestRoundRobinCycles(t *testing.T) {
 func TestLeastLoadedPicksMinimumWithLowIndexTies(t *testing.T) {
 	p := NewPicker(4)
 	loads := []float64{5, 2, 2, 7}
-	k, err := p.Pick(LeastLoaded, 0, 0, func(i int) float64 { return loads[i] })
+	k, err := p.Pick(LeastLoaded, 0, func(i int) float64 { return loads[i] }, noneSealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,61 +30,43 @@ func TestLeastLoadedPicksMinimumWithLowIndexTies(t *testing.T) {
 		t.Fatalf("least-loaded picked %d, want 1 (lowest-index tie)", k)
 	}
 	loads[1] = 9
-	if k, _ = p.Pick(LeastLoaded, 0, 0, func(i int) float64 { return loads[i] }); k != 2 {
+	if k, _ = p.Pick(LeastLoaded, 0, func(i int) float64 { return loads[i] }, noneSealed); k != 2 {
 		t.Fatalf("least-loaded picked %d, want 2", k)
+	}
+}
+
+func noneSealed(int) bool { return false }
+
+func TestLeastLoadedSkipsSealedShards(t *testing.T) {
+	p := NewPicker(4)
+	loads := []float64{0, 3, 1, 2}
+	sealed := []bool{true, false, true, false}
+	isSealed := func(i int) bool { return sealed[i] }
+	k, err := p.Pick(LeastLoaded, 0, func(i int) float64 { return loads[i] }, isSealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != 3 {
+		t.Fatalf("least-loaded picked %d, want 3 (least-loaded unsealed shard)", k)
+	}
+	sealed = []bool{true, true, true, true}
+	if k, _ = p.Pick(LeastLoaded, 0, func(i int) float64 { return loads[i] }, isSealed); k != 0 {
+		t.Fatalf("all sealed: least-loaded picked %d, want the overall minimum 0", k)
+	}
+	sealed = []bool{true, false, false, true}
+	loads = []float64{0, 4, 4, 0}
+	if k, _ = p.Pick(LeastLoaded, 0, func(i int) float64 { return loads[i] }, isSealed); k != 1 {
+		t.Fatalf("least-loaded picked %d, want 1 (lowest-index unsealed tie)", k)
 	}
 }
 
 func TestLeastLoadedDoesNotAdvanceRoundRobin(t *testing.T) {
 	p := NewPicker(2)
-	if _, err := p.Pick(LeastLoaded, 0, 0, func(int) float64 { return 0 }); err != nil {
+	if _, err := p.Pick(LeastLoaded, 0, func(int) float64 { return 0 }, noneSealed); err != nil {
 		t.Fatal(err)
 	}
-	if k, _ := p.Pick(RoundRobin, 0, 0, nil); k != 0 {
+	if k, _ := p.Pick(RoundRobin, 0, nil, nil); k != 0 {
 		t.Fatalf("least-loaded pick consumed the round-robin cursor (next = %d)", k)
-	}
-}
-
-// fakeModel ranks shards by a fixed prediction table, recording the cost it
-// was asked about.
-type fakeModel struct {
-	pred []float64
-	cost float64
-}
-
-func (f *fakeModel) PredictedCompletion(k int, cost float64) float64 {
-	f.cost = cost
-	return f.pred[k]
-}
-
-func TestPredictivePicksMinimumPrediction(t *testing.T) {
-	p := NewPicker(4)
-	fm := &fakeModel{pred: []float64{50, 20, 20, 70}}
-	p.SetModel(fm)
-	k, err := p.Pick(Predictive, 0, 900, func(int) float64 { t.Fatal("predictive consulted load"); return 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1 {
-		t.Fatalf("predictive picked %d, want 1 (lowest-index tie)", k)
-	}
-	if fm.cost != 900 {
-		t.Fatalf("model saw cost %v, want the job's 900", fm.cost)
-	}
-	if k, _ = p.Pick(RoundRobin, 0, 0, nil); k != 0 {
-		t.Fatalf("predictive pick consumed the round-robin cursor (next = %d)", k)
-	}
-}
-
-func TestPredictiveWithoutModelFallsBackToLeastLoaded(t *testing.T) {
-	p := NewPicker(3)
-	loads := []float64{5, 1, 3}
-	k, err := p.Pick(Predictive, 0, 900, func(i int) float64 { return loads[i] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1 {
-		t.Fatalf("unwired predictive picked %d, want least-loaded's 1", k)
 	}
 }
 
@@ -105,11 +87,11 @@ func TestStealerVetoCounter(t *testing.T) {
 
 func TestPinnedValidatesRange(t *testing.T) {
 	p := NewPicker(2)
-	if k, err := p.Pick(Pinned, 1, 0, nil); err != nil || k != 1 {
+	if k, err := p.Pick(Pinned, 1, nil, nil); err != nil || k != 1 {
 		t.Fatalf("pinned pick = %d, %v", k, err)
 	}
 	for _, bad := range []int{-1, 2, 99} {
-		if _, err := p.Pick(Pinned, bad, 0, nil); err == nil {
+		if _, err := p.Pick(Pinned, bad, nil, nil); err == nil {
 			t.Fatalf("pinned shard %d accepted", bad)
 		}
 	}
@@ -117,7 +99,7 @@ func TestPinnedValidatesRange(t *testing.T) {
 
 func TestUnknownPolicyRejected(t *testing.T) {
 	p := NewPicker(2)
-	if _, err := p.Pick(Policy(42), 0, 0, nil); err == nil || !strings.Contains(err.Error(), "unknown placement") {
+	if _, err := p.Pick(Policy(42), 0, nil, nil); err == nil || !strings.Contains(err.Error(), "unknown placement") {
 		t.Fatalf("unknown policy error = %v", err)
 	}
 }
@@ -157,7 +139,7 @@ func TestNamespaceFormat(t *testing.T) {
 
 func TestPolicyStrings(t *testing.T) {
 	for p, want := range map[Policy]string{
-		RoundRobin: "round-robin", LeastLoaded: "least-loaded", Pinned: "pinned", Predictive: "predictive",
+		RoundRobin: "round-robin", LeastLoaded: "least-loaded", Pinned: "pinned",
 	} {
 		if p.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", int(p), p.String(), want)

@@ -10,7 +10,6 @@ import (
 
 	"aimes/internal/backend"
 	"aimes/internal/core"
-	"aimes/internal/model"
 	"aimes/internal/shard"
 	"aimes/internal/trace"
 )
@@ -97,7 +96,9 @@ const (
 	// PlaceLeastLoaded places the job on the shard with the smallest
 	// effective load — pending expected core-seconds (Σ duration × cores
 	// over the workload) weighted by the shard's observed drain rate — at
-	// the cost of placement depending on completion timing.
+	// the cost of placement depending on completion timing. Shards sealed
+	// by a pinned tenant (see PlacePinned) are skipped unless every shard
+	// is sealed.
 	PlaceLeastLoaded = shard.LeastLoaded
 	// PlacePinned places the job on JobConfig.Shard. Pin jobs that need
 	// cross-run determinism: the same environment seed and the same
@@ -106,14 +107,6 @@ const (
 	// non-migratable submission also seals its shard against incoming
 	// migrants, so the contract survives other shards' jobs migrating.
 	PlacePinned = shard.Pinned
-	// PlacePredictive places the job on the shard with the minimum
-	// predicted completion time from the analytical cost model
-	// (internal/model): fitted queue wait + backlog drain + the job's own
-	// service time at the shard's fitted drain rate. Until completions have
-	// warmed the fits this ranks shards exactly like PlaceLeastLoaded; after
-	// that it prefers the shard that will finish the job soonest, which on
-	// heterogeneous shards is not always the one with the least backlog.
-	PlacePredictive = shard.Predictive
 )
 
 // MigratePolicy controls whether cross-shard work stealing may hand a
@@ -189,7 +182,6 @@ type Job struct {
 	mu           sync.Mutex
 	ns           string
 	strategy     Strategy
-	predicted    float64 // model-predicted completion at enactment, virtual seconds
 	enacted      bool
 	handoff      bool // popped from its origin's queue, not yet landed
 	hopped       bool // migrated once already; jobs move at most one hop
@@ -274,12 +266,12 @@ func (e *Environment) Submit(ctx context.Context, w *Workload, cfg JobConfig) (*
 	// it for least-loaded placement, and round-robin/pinned submissions
 	// should not pay the O(shards) scan under the hottest lock.
 	var load func(int) float64
-	k, err := e.picker.Pick(cfg.Placement, cfg.Shard, float64(cost)/1000, func(k int) float64 {
+	k, err := e.picker.Pick(cfg.Placement, cfg.Shard, func(k int) float64 {
 		if load == nil {
 			load = e.loadFunc()
 		}
 		return load(k)
-	})
+	}, e.stealer.Sealed)
 	if err != nil {
 		e.jobMu.Unlock()
 		return nil, err
@@ -387,11 +379,6 @@ func (e *Environment) enactLocked(sh *shardEnv, j *Job) error {
 	j.mu.Lock()
 	j.ns = res.Namespace
 	j.strategy = res.Strategy
-	// Commit the model's prediction for this placement: the report's TTC
-	// clock starts at enactment, so the comparable prediction is the fitted
-	// pilot queue wait plus the job's own service time — no backlog term.
-	// Scored against the observed TTC when the job completes.
-	j.predicted = e.model.Predict(sh.id, float64(j.cost)/1000, 0).Total
 	j.enacted = true
 	j.handoff = false
 	reason := j.cancelReason
@@ -719,18 +706,6 @@ func (j *Job) Report() *Report {
 	}
 }
 
-// PredictedTTC returns the completion time the analytical cost model
-// predicted for this job at the moment it was enacted on its shard — the
-// fitted pilot queue wait plus the job's service time at the shard's fitted
-// drain rate — or 0 while the job is still queued. Compare with
-// Report().TTC to score the model (the fidelity harness and the scenario
-// `model` assertion do exactly that).
-func (j *Job) PredictedTTC() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return time.Duration(j.predicted * float64(time.Second))
-}
-
 // Err returns the terminal error for failed jobs, or nil.
 func (j *Job) Err() error {
 	select {
@@ -970,20 +945,6 @@ func (j *Job) complete(r *Report, err error) {
 		// Completed work feeds the observed-throughput side of weighted
 		// placement; canceled and failed jobs tell us nothing about rate.
 		sh.doneCost.Add(j.cost)
-		if r != nil {
-			// Feed the analytical twin: the job's measured wait and
-			// completion refit the shard's drain rate and queue wait.
-			j.mu.Lock()
-			predicted := j.predicted
-			j.mu.Unlock()
-			j.env.model.Observe(model.Observation{
-				Shard:     sh.id,
-				Cost:      float64(j.cost) / 1000,
-				Wait:      r.Tw.Seconds(),
-				TTC:       r.TTC.Seconds(),
-				Predicted: predicted,
-			})
-		}
 	}
 	if enacted {
 		sh.running--

@@ -3,7 +3,6 @@ package aimes_test
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -268,10 +267,13 @@ func TestWithShardsValidation(t *testing.T) {
 			t.Fatalf("pinned shard %d: error %v", bad, err)
 		}
 	}
-	if _, err := env.Submit(context.Background(), w, aimes.JobConfig{
-		StrategyConfig: shardCfg, Placement: aimes.Placement(99),
-	}); err == nil || !strings.Contains(err.Error(), "unknown placement") {
-		t.Fatalf("unknown placement error = %v", err)
+	// Placement(3) was the retired predictive policy.
+	for _, bad := range []aimes.Placement{3, 99} {
+		if _, err := env.Submit(context.Background(), w, aimes.JobConfig{
+			StrategyConfig: shardCfg, Placement: bad,
+		}); err == nil || !strings.Contains(err.Error(), "unknown placement") {
+			t.Fatalf("placement %d: error = %v", bad, err)
+		}
 	}
 	// Rejected submissions consume neither global nor shard-local IDs.
 	j, err := env.Submit(context.Background(), w, aimes.JobConfig{StrategyConfig: shardCfg})
@@ -344,58 +346,48 @@ func TestShardNamespaces(t *testing.T) {
 	}
 }
 
-// TestPredictivePlacementMatchesLeastLoadedWhenCold pins down the cost
-// model's degenerate case: before any completion has been observed, every
-// shard carries the identical seed fit, so PlacePredictive's minimum
-// predicted completion must rank shards exactly like PlaceLeastLoaded's
-// effective load. Two environments with the same seed receive the same
-// submission sequence under each policy; the per-job shard sequences must be
-// deeply equal, and both fleets drain cleanly under the race detector.
-func TestPredictivePlacementMatchesLeastLoadedWhenCold(t *testing.T) {
-	const nShards, nJobs = 4, 12
-	run := func(placement aimes.Placement) []int {
-		env, err := aimes.NewEnv(aimes.WithSeed(97), aimes.WithShards(nShards))
+// TestLeastLoadedSkipsSealedShard: with work stealing on, a pinned,
+// non-migratable job seals its shard, and least-loaded submissions must then
+// avoid that shard even when it carries the least load. Otherwise they
+// consume the pinned tenant's shard-local sequence, and the tenant's next
+// pinned job stops being s0-j2.
+func TestLeastLoadedSkipsSealedShard(t *testing.T) {
+	env, err := aimes.NewEnv(aimes.WithSeed(5), aimes.WithShards(2), aimes.WithWorkStealing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	submit := func(tasks int, seed int64, cfg aimes.JobConfig) *aimes.Job {
+		t.Helper()
+		w, err := aimes.GenerateWorkload(aimes.BagOfTasks(tasks, aimes.UniformDuration()), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer env.Close()
-		var jobs []*aimes.Job
-		shards := make([]int, 0, nJobs)
-		for i := 0; i < nJobs; i++ {
-			// Varying task counts give the submissions distinct costs, so the
-			// predictive ranking is exercised on an uneven backlog, not just
-			// a round-robin-equivalent uniform one.
-			w, err := aimes.GenerateWorkload(
-				aimes.BagOfTasks(4+(i%3)*4, aimes.UniformDuration()), int64(900+i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, err := env.Submit(context.Background(), w, aimes.JobConfig{
-				StrategyConfig: shardCfg, Placement: placement,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, j)
-			shards = append(shards, j.Shard())
+		cfg.StrategyConfig = shardCfg
+		j, err := env.Submit(context.Background(), w, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		for _, j := range jobs {
-			wg.Add(1)
-			go func(j *aimes.Job) {
-				defer wg.Done()
-				if _, err := j.Wait(context.Background()); err != nil {
-					t.Errorf("wait: %v", err)
-				}
-			}(j)
-		}
-		wg.Wait()
-		return shards
+		return j
 	}
-	predictive := run(aimes.PlacePredictive)
-	leastLoaded := run(aimes.PlaceLeastLoaded)
-	if !reflect.DeepEqual(predictive, leastLoaded) {
-		t.Fatalf("cold predictive placement diverged from least-loaded:\npredictive  %v\nleastloaded %v",
-			predictive, leastLoaded)
+	pinned := aimes.JobConfig{Placement: aimes.PlacePinned, Shard: 0}
+	jobs := []*aimes.Job{submit(4, 1, pinned)}
+	// Shard 0 is sealed and lightly loaded; the 64-task job makes shard 1
+	// the heavier one for the two small jobs that follow.
+	for i, tasks := range []int{64, 4, 4} {
+		j := submit(tasks, int64(10+i), aimes.JobConfig{Placement: aimes.PlaceLeastLoaded})
+		if j.Shard() != 1 {
+			t.Errorf("least-loaded job %d (%d tasks) landed on sealed shard %d", i, tasks, j.Shard())
+		}
+		jobs = append(jobs, j)
+	}
+	next := submit(4, 2, pinned)
+	if ns := next.Namespace(); ns != "s0-j2" {
+		t.Errorf("pinned tenant's second job is %s, want s0-j2", ns)
+	}
+	for _, j := range append(jobs, next) {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
