@@ -38,7 +38,7 @@ type Local struct {
 	sink     Sink
 
 	// execs holds every live job's execution, keyed by descriptor key; its
-	// recorder is where injected chaos (chaos.go) logs applied faults.
+	// sink is where injected chaos (chaos.go) logs applied faults.
 	// surgeSeq numbers emergent surge jobs; sever, when set by a worker
 	// serve loop, cuts the hosting transport for the kill-worker action.
 	jobSeq   int
@@ -133,8 +133,9 @@ func (l *Local) EngineSyncer() sim.Syncer {
 }
 
 // Enact implements Backend. The internal order — resolve, namespace,
-// recorder, MIGRATED record, prepare, enact, sequence bump — mirrors the
-// pre-seam enactment exactly.
+// MIGRATED record, prepare, enact, sequence bump — mirrors the pre-seam
+// enactment exactly. The job keeps no trace of its own: every record goes
+// straight to the shard's sink under the job's key.
 func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 	s, err := l.mgr.Resolve(&d.Descriptor)
 	if err != nil {
@@ -142,8 +143,7 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 	}
 	ns := shard.Namespace(l.id, l.jobSeq+1)
 	key := d.Key
-	rec := trace.NewRecorder()
-	rec.Observe(func(r trace.Record) { l.sink.JobTrace(key, ns, r) })
+	rec := jobSink{sink: l.sink, key: key, ns: ns}
 	if d.MigratedFrom >= 0 {
 		rec.Record(l.eng.Now(), "em", trace.StateMigrated, fmt.Sprintf("from s%d", d.MigratedFrom))
 	}
@@ -171,6 +171,17 @@ func (l *Local) Enact(d *Descriptor) (*Enacted, error) {
 		l.sink.JobDone(key, r)
 	})
 	return &Enacted{Namespace: ns, Strategy: s}, nil
+}
+
+// jobSink reports one job's trace records to its shard's sink.
+type jobSink struct {
+	sink Sink
+	key  int
+	ns   string
+}
+
+func (j jobSink) Record(t sim.Time, entity, state, detail string) {
+	j.sink.JobTrace(j.key, j.ns, trace.Record{Time: t, Entity: entity, State: state, Detail: detail})
 }
 
 // Step implements Backend.

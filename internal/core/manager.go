@@ -55,11 +55,12 @@ func (m *Manager) Bundle() *bundle.Bundle { return m.bundle }
 // value reproduces the classic single-tenant behavior: the manager's shared
 // recorder and un-namespaced pilot IDs.
 type ExecOptions struct {
-	// Recorder receives this execution's trace. Nil uses the manager's
-	// shared recorder. Multi-tenant callers pass a per-job recorder (and tee
-	// it into an aggregate one via trace.Recorder.Observe if desired) so
-	// reports and event streams never mix tenants.
-	Recorder *trace.Recorder
+	// Recorder receives this execution's trace records as they happen. Nil
+	// uses the manager's shared recorder. Multi-tenant callers pass a
+	// per-job sink, e.g. one forwarding to an aggregate trace under the
+	// job's key, so event streams never mix tenants. Reports never read it:
+	// Tx and Ts come from the unit manager's spans.
+	Recorder trace.Sink
 	// Namespace scopes pilot IDs, e.g. "s0-j3" → "pilot.stampede.s0-j3-1".
 	Namespace string
 }
@@ -72,7 +73,7 @@ type ExecOptions struct {
 // handed to a different shard's manager.
 type Execution struct {
 	m           *Manager
-	rec         *trace.Recorder
+	rec         trace.Sink
 	ns          string
 	workload    *skeleton.Workload
 	strategy    Strategy
@@ -104,9 +105,9 @@ func (e *Execution) Canceled() bool { return e.canceled }
 // Report returns the final report, or nil while running.
 func (e *Execution) Report() *Report { return e.report }
 
-// Recorder returns this execution's trace recorder (the manager's shared one
-// unless ExecOptions provided a per-execution recorder).
-func (e *Execution) Recorder() *trace.Recorder { return e.rec }
+// Recorder returns the sink this execution reports to (the manager's shared
+// recorder unless ExecOptions provided a per-execution sink).
+func (e *Execution) Recorder() trace.Sink { return e.rec }
 
 // OnComplete registers a callback fired once with the final report.
 func (e *Execution) OnComplete(fn func(*Report)) {

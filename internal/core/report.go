@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"aimes/internal/sim"
@@ -60,9 +59,8 @@ type Report struct {
 	Efficiency float64
 }
 
-// buildReport derives the report from the execution's own trace.
+// buildReport derives the report from the execution's pilots and units.
 func buildReport(e *Execution) *Report {
-	rec := e.rec
 	r := &Report{
 		Strategy:        e.strategy,
 		TTC:             e.ended.Sub(e.started),
@@ -88,8 +86,9 @@ func buildReport(e *Execution) *Report {
 		r.Tw = firstActive.Sub(e.started)
 	}
 
-	// Tx and Ts from per-entity state spans in the trace.
-	execSpans, stageSpans := componentSpans(rec, e.started)
+	// Tx and Ts: unions of the spans the unit manager closed at each unit
+	// transition.
+	execSpans, stageSpans := e.um.Spans()
 	r.Tx = trace.UnionDuration(execSpans).Duration()
 	r.Ts = trace.UnionDuration(stageSpans).Duration()
 
@@ -125,39 +124,6 @@ func buildReport(e *Execution) *Report {
 		r.Throughput = float64(r.UnitsDone) / r.TTC.Hours()
 	}
 	return r
-}
-
-// componentSpans extracts execution and staging spans from the trace: for
-// every unit entity, each EXECUTING / STAGING_* record opens a span that the
-// entity's next record closes. Restarted units therefore contribute one span
-// per attempt — middleware self-introspection, not approximation.
-func componentSpans(rec *trace.Recorder, since sim.Time) (exec, stage []trace.Span) {
-	perEntity := make(map[string][]trace.Record)
-	for _, record := range rec.Records() {
-		if record.Time < since {
-			continue
-		}
-		if len(record.Entity) < 5 || record.Entity[:5] != "unit." {
-			continue
-		}
-		perEntity[record.Entity] = append(perEntity[record.Entity], record)
-	}
-	for _, records := range perEntity {
-		sort.SliceStable(records, func(i, j int) bool { return records[i].Time < records[j].Time })
-		for i, record := range records {
-			if i+1 >= len(records) {
-				continue
-			}
-			span := trace.Span{Start: record.Time, End: records[i+1].Time}
-			switch record.State {
-			case "EXECUTING":
-				exec = append(exec, span)
-			case "STAGING_INPUT", "STAGING_OUTPUT":
-				stage = append(stage, span)
-			}
-		}
-	}
-	return exec, stage
 }
 
 // WriteSummary prints a human-readable report.

@@ -19,6 +19,7 @@ type harness struct {
 	tb   *site.Testbed
 	sess *saga.Session
 	sys  *System
+	rec  *trace.Recorder
 	pm   *PilotManager
 }
 
@@ -53,9 +54,9 @@ func newHarness(t *testing.T, cfg Config, seed int64) *harness {
 		sess.Register(saga.NewBatchAdaptor(eng, s))
 	}
 	links := func(resource string) *netsim.Link { return tb.Site(resource).Link() }
-	sys := NewSystem(eng, sess, links, trace.NewRecorder(), cfg,
-		rand.New(rand.NewSource(seed)))
-	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, pm: NewPilotManager(sys)}
+	rec := trace.NewRecorder()
+	sys := NewSystem(eng, sess, links, rec, cfg, rand.New(rand.NewSource(seed)))
+	return &harness{eng: eng, tb: tb, sess: sess, sys: sys, rec: rec, pm: NewPilotManager(sys)}
 }
 
 func unitDescs(n int, dur time.Duration) []UnitDescription {
@@ -95,7 +96,7 @@ func TestPilotLifecycle(t *testing.T) {
 		t.Fatalf("wait = %v, want 61s", p.Wait())
 	}
 	// Trace contains the full state sequence.
-	rec := h.sys.Recorder()
+	rec := h.rec
 	for _, st := range []string{"NEW", "LAUNCHING", "PENDING", "ACTIVE", "DONE"} {
 		if _, ok := rec.First(p.ID(), st); !ok {
 			t.Fatalf("trace missing pilot state %s", st)
@@ -184,7 +185,7 @@ func TestEarlyBindingStagingOverlapsQueueWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	rec := h.sys.Recorder()
+	rec := h.rec
 	// Input staging must begin before the pilot becomes active (61s):
 	// early binding stages during the queue wait, which is why Ts overlaps
 	// Tw in the paper's Figure 3.
@@ -290,7 +291,7 @@ func TestAgentDispatchOverheadSerializes(t *testing.T) {
 	}
 	h.eng.Run()
 	// Execution starts must be staggered by ≥1s despite 64 free cores.
-	recs := h.sys.Recorder().ByState(UnitExecuting.String())
+	recs := h.rec.ByState(UnitExecuting.String())
 	if len(recs) != 10 {
 		t.Fatalf("%d executions, want 10", len(recs))
 	}
@@ -411,7 +412,7 @@ func TestUnitDependencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	rec := h.sys.Recorder()
+	rec := h.rec
 	prodDone, _ := rec.First("unit.producer", UnitDone.String())
 	consExec, _ := rec.First("unit.consumer", UnitExecuting.String())
 	if consExec.Time <= prodDone.Time {
@@ -440,7 +441,7 @@ func TestSamePilotDependencySkipsStaging(t *testing.T) {
 	h.eng.Run()
 	// Producer and consumer share the pilot: the 1 GB intermediate must NOT
 	// cross the WAN as consumer input. Staging detail records 0 bytes.
-	rec, ok := h.sys.Recorder().First("unit.consumer", UnitStagingInput.String())
+	rec, ok := h.rec.First("unit.consumer", UnitStagingInput.String())
 	if !ok {
 		t.Fatal("consumer staging record missing")
 	}
@@ -579,7 +580,7 @@ func TestTraceSpanConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	rec := h.sys.Recorder()
+	rec := h.rec
 	perUnit := map[string][]trace.Record{}
 	for _, r := range rec.Records() {
 		if len(r.Entity) > 5 && r.Entity[:5] == "unit." {
@@ -637,7 +638,7 @@ func TestMulticoreUnitsAgentBackfill(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Run()
-	rec := h.sys.Recorder()
+	rec := h.rec
 	narrowExec, _ := rec.First("unit.narrow", UnitExecuting.String())
 	wideBExec, _ := rec.First("unit.wide-b", UnitExecuting.String())
 	if narrowExec.Time >= wideBExec.Time {

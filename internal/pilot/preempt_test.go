@@ -63,7 +63,7 @@ func TestPreemptReschedulesUnits(t *testing.T) {
 	}
 	// Preemption reason must be recoverable from the trace.
 	found := false
-	for _, rec := range h.sys.Recorder().ByEntity(pilots[0].ID()) {
+	for _, rec := range h.rec.ByEntity(pilots[0].ID()) {
 		if rec.State == "FAILED" && rec.Detail == "preempted: spot reclaim" {
 			found = true
 		}

@@ -43,21 +43,19 @@ type System struct {
 	eng     sim.Engine
 	session *saga.Session
 	links   LinkResolver
-	rec     *trace.Recorder
+	rec     trace.Sink
 	cfg     Config
 	rng     *rand.Rand
 	seq     int
 	ns      string // pilot-ID namespace, e.g. "s0-j3" (empty outside multi-tenant runs)
 }
 
-// NewSystem creates the shared pilot-system context. The recorder may be
-// shared with the execution manager so the whole run lands in one trace. rng
-// may be nil when UnitFailureProb is zero.
+// NewSystem creates the shared pilot-system context. Every pilot and unit
+// transition is reported to rec, which may be shared with the execution
+// manager so the whole run lands in one trace. rng may be nil when
+// UnitFailureProb is zero.
 func NewSystem(eng sim.Engine, session *saga.Session, links LinkResolver,
-	rec *trace.Recorder, cfg Config, rng *rand.Rand) *System {
-	if rec == nil {
-		rec = trace.NewRecorder()
-	}
+	rec trace.Sink, cfg Config, rng *rand.Rand) *System {
 	if cfg.DefaultMaxRestarts <= 0 {
 		cfg.DefaultMaxRestarts = 3
 	}
@@ -82,9 +80,6 @@ func (s *System) pilotID(resource string) string {
 	}
 	return fmt.Sprintf("pilot.%s.%s-%d", resource, s.ns, s.seq)
 }
-
-// Recorder exposes the trace recorder.
-func (s *System) Recorder() *trace.Recorder { return s.rec }
 
 // Engine exposes the engine.
 func (s *System) Engine() sim.Engine { return s.eng }

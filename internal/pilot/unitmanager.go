@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"aimes/internal/netsim"
+	"aimes/internal/sim"
+	"aimes/internal/trace"
 )
 
 // Unit is one compute unit under management.
@@ -11,6 +13,7 @@ type Unit struct {
 	desc  UnitDescription
 	id    string // trace entity: "unit.<name>"
 	state UnitState
+	since sim.Time // when the unit entered state
 	um    *UnitManager
 
 	pilot    *Pilot
@@ -37,9 +40,19 @@ func (u *Unit) Pilot() *Pilot { return u.pilot }
 // Attempts reports how many failed execution attempts occurred.
 func (u *Unit) Attempts() int { return u.attempts }
 
+// transition is the one place a unit changes state. Leaving EXECUTING or a
+// staging state closes that span on the manager, so a restarted unit
+// contributes one span per attempt.
 func (u *Unit) transition(state UnitState, detail string) {
-	u.state = state
-	u.um.sys.rec.Record(u.um.sys.eng.Now(), u.id, state.String(), detail)
+	now := u.um.sys.eng.Now()
+	switch u.state {
+	case UnitExecuting:
+		u.um.execSpans = append(u.um.execSpans, trace.Span{Start: u.since, End: now})
+	case UnitStagingInput, UnitStagingOutput:
+		u.um.stageSpans = append(u.um.stageSpans, trace.Span{Start: u.since, End: now})
+	}
+	u.state, u.since = state, now
+	u.um.sys.rec.Record(now, u.id, state.String(), detail)
 }
 
 // finalize moves the unit to a terminal state and notifies the manager.
@@ -190,6 +203,10 @@ type UnitManager struct {
 	placeQueued bool
 	doneCount   int
 	onDone      []func()
+
+	// execSpans and stageSpans are the closed EXECUTING and STAGING_*
+	// intervals of every unit, the inputs of the report's Tx and Ts.
+	execSpans, stageSpans []trace.Span
 }
 
 // NewUnitManager creates a unit manager with the given scheduler.
@@ -228,6 +245,13 @@ func (um *UnitManager) Units() []*Unit {
 	cp := make([]*Unit, len(um.units))
 	copy(cp, um.units)
 	return cp
+}
+
+// Spans returns the closed execution and staging spans of every unit, one
+// per visit to the state. Spans of units still in such a state are not
+// included. The slices are the manager's own; callers must not modify them.
+func (um *UnitManager) Spans() (exec, stage []trace.Span) {
+	return um.execSpans, um.stageSpans
 }
 
 // Unit returns the named unit, or nil.

@@ -1,8 +1,9 @@
 // Package trace implements the self-introspection layer of the middleware:
-// every pilot and unit state transition is recorded with a virtual timestamp,
-// and span algebra (interval unions) turns those records into the
-// overlap-aware TTC decomposition of the paper's Figure 3, where
-// TTC < Tw + Tx + Ts because the components overlap.
+// every pilot and unit state transition is reported to a Sink with its
+// virtual timestamp (a Recorder keeps them for export and inspection), and
+// span algebra (interval unions) turns the per-unit spans the pilot layer
+// closes at each transition into the overlap-aware TTC decomposition of the
+// paper's Figure 3, where TTC < Tw + Tx + Ts because the components overlap.
 package trace
 
 import (
@@ -23,32 +24,29 @@ type Record struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
-// Recorder accumulates state-transition records. It is not safe for
-// concurrent use; in simulations all callbacks are serialized by the engine,
-// and each simulation run owns its Recorder.
-type Recorder struct {
-	records   []Record
-	observers []func(Record)
+// Sink receives state transitions as they happen. The pilot layer and the
+// execution manager report through it; *Recorder is the Sink that keeps the
+// records, and a shard backend passes one that forwards each record straight
+// to its environment.
+type Sink interface {
+	Record(t sim.Time, entity, state, detail string)
 }
+
+// Recorder is the Sink that accumulates records in insertion order. It is
+// not safe for concurrent use; in simulations all callbacks are serialized
+// by the engine, and each simulation run owns its Recorder.
+type Recorder struct {
+	records []Record
+}
+
+var _ Sink = (*Recorder)(nil)
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Observe registers fn to run synchronously on every appended record, in
-// registration order. Observers back live consumers of the trace — event
-// streams and aggregate (tee) recorders — and run under the same engine
-// serialization as Record itself, so they need no locking of their own.
-func (r *Recorder) Observe(fn func(Record)) {
-	r.observers = append(r.observers, fn)
-}
-
 // Record appends a state transition at time t.
 func (r *Recorder) Record(t sim.Time, entity, state, detail string) {
-	rec := Record{Time: t, Entity: entity, State: state, Detail: detail}
-	r.records = append(r.records, rec)
-	for _, fn := range r.observers {
-		fn(rec)
-	}
+	r.records = append(r.records, Record{Time: t, Entity: entity, State: state, Detail: detail})
 }
 
 // Len reports the number of records.
