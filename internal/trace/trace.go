@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,19 +102,24 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.records)
 }
 
-// WriteCSV streams the records as CSV with a header row.
+// WriteCSV streams the records as CSV with a header row. Commas in details
+// become semicolons; any field that still holds a comma, quote or line break
+// (a task ID such as "a,b", an error detail spanning lines) is quoted, so
+// every record reads back as one row.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "time_s,entity,state,detail\n"); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"time_s", "entity", "state", "detail"}); err != nil {
 		return err
 	}
 	for _, rec := range r.records {
-		detail := strings.ReplaceAll(rec.Detail, ",", ";")
-		if _, err := fmt.Fprintf(w, "%.3f,%s,%s,%s\n",
-			rec.Time.Seconds(), rec.Entity, rec.State, detail); err != nil {
+		row := []string{fmt.Sprintf("%.3f", rec.Time.Seconds()), rec.Entity, rec.State,
+			strings.ReplaceAll(rec.Detail, ",", ";")}
+		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
 // StateMigrated is the execution-manager ("em") trace state recorded when a

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -74,6 +76,33 @@ func TestRecorderCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "1.000,a,S1,x;y") {
 		t.Fatalf("row not found or comma not escaped: %q", out)
+	}
+}
+
+// TestRecorderCSVQuotesFields reads hostile fields back through a CSV
+// reader: a task ID with a comma, a quote, or a line break, and a detail
+// spanning lines, must each stay one field of one row.
+func TestRecorderCSVQuotesFields(t *testing.T) {
+	r := NewRecorder()
+	r.Record(at(1), "unit.a,b", "EXECUTING", "")
+	r.Record(at(2), `unit.say "hi"`, "DONE", "line one\nline two, with comma")
+	r.Record(at(3), "unit.x\ny", "FAILED", `bad "input"`)
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"time_s", "entity", "state", "detail"},
+		{"1.000", "unit.a,b", "EXECUTING", ""},
+		{"2.000", `unit.say "hi"`, "DONE", "line one\nline two; with comma"},
+		{"3.000", "unit.x\ny", "FAILED", `bad "input"`},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %q, want %q", rows, want)
 	}
 }
 
