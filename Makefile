@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint fuzz perfbench-test bench bench-check bench-baseline bench-drift scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
+.PHONY: build test race vet lint fuzz perfbench-test perfbench-smoke bench bench-check bench-baseline bench-drift scenarios scenario-matrix smoke worker-smoke worker-tcp-smoke server-smoke fleet-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,17 @@ fuzz:
 # so an API change cannot silently break the benchmark.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Runs the benchmark itself, one short run of each workload (local-bot,
+# worker-wire, daemon-burst). perfbench exits non-zero unless every job
+# finished and its output checks held (correct:true, 0 failed), which
+# includes the local-vs-worker report digest.
+PERFBENCH_WORKLOADS = local-bot worker-wire daemon-burst
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "--- perfbench $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Runs every benchmark once. BenchmarkConcurrentJobs sweeps shard counts
 # {1, 2, GOMAXPROCS} and writes the perf-trajectory record BENCH_jobs.json,
@@ -120,4 +131,4 @@ server-smoke:
 fleet-smoke:
 	timeout 300 ./scripts/fleet_smoke.sh
 
-ci: lint race fuzz perfbench-test bench-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
+ci: lint race fuzz perfbench-test perfbench-smoke bench-check scenarios scenario-matrix worker-smoke worker-tcp-smoke server-smoke fleet-smoke
