@@ -19,7 +19,7 @@ import (
 // execution strategy, and enacts it through the pilot layer (§III-D,
 // Figure 1 steps 1–6). One manager serves many executions, sequentially or
 // concurrently on a shared engine: each execution gets its own pilot system
-// and may get its own trace recorder and pilot-ID namespace (ExecOptions),
+// and may get its own trace sink and pilot-ID namespace (ExecOptions),
 // so tenants sharing the testbed stay observably separate.
 type Manager struct {
 	eng     sim.Engine

@@ -204,8 +204,7 @@ type UnitManager struct {
 	doneCount   int
 	onDone      []func()
 
-	// execSpans and stageSpans are the closed EXECUTING and STAGING_*
-	// intervals of every unit, the inputs of the report's Tx and Ts.
+	// execSpans and stageSpans are what Spans returns.
 	execSpans, stageSpans []trace.Span
 }
 
@@ -247,9 +246,8 @@ func (um *UnitManager) Units() []*Unit {
 	return cp
 }
 
-// Spans returns the closed execution and staging spans of every unit, one
-// per visit to the state. Spans of units still in such a state are not
-// included. The slices are the manager's own; callers must not modify them.
+// Spans returns every unit's closed execution and staging spans, one per
+// visit to the state. Callers must not modify the slices.
 func (um *UnitManager) Spans() (exec, stage []trace.Span) {
 	return um.execSpans, um.stageSpans
 }

@@ -1,9 +1,8 @@
 // Package trace implements the self-introspection layer of the middleware:
-// every pilot and unit state transition is reported to a Sink with its
-// virtual timestamp (a Recorder keeps them for export and inspection), and
-// span algebra (interval unions) turns the per-unit spans the pilot layer
-// closes at each transition into the overlap-aware TTC decomposition of the
-// paper's Figure 3, where TTC < Tw + Tx + Ts because the components overlap.
+// every pilot and unit state transition is reported to a Sink with a virtual
+// timestamp, and span algebra (interval unions) turns per-unit state spans
+// into the overlap-aware TTC decomposition of the paper's Figure 3, where
+// TTC < Tw + Tx + Ts because the components overlap.
 package trace
 
 import (
@@ -25,10 +24,8 @@ type Record struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
-// Sink receives state transitions as they happen. The pilot layer and the
-// execution manager report through it; *Recorder is the Sink that keeps the
-// records, and a shard backend passes one that forwards each record straight
-// to its environment.
+// Sink receives state transitions as they happen. *Recorder keeps them; a
+// shard backend passes one that forwards each record to its environment.
 type Sink interface {
 	Record(t sim.Time, entity, state, detail string)
 }
@@ -39,8 +36,6 @@ type Sink interface {
 type Recorder struct {
 	records []Record
 }
-
-var _ Sink = (*Recorder)(nil)
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -103,9 +98,8 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 }
 
 // WriteCSV streams the records as CSV with a header row. Commas in details
-// become semicolons; any field that still holds a comma, quote or line break
-// (a task ID such as "a,b", an error detail spanning lines) is quoted, so
-// every record reads back as one row.
+// become semicolons; a field that still holds a comma, quote or line break
+// (a task ID "a,b", a multi-line error) is quoted, so each record is one row.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"time_s", "entity", "state", "detail"}); err != nil {
